@@ -24,6 +24,11 @@
 //! own serial cell. The deterministic `cycles` gate applies to any cell
 //! that exports the counter, decode kernels included.
 //!
+//! GPU cells (`culzss-*`, `dec-culzss-*`) are also gated on allocated
+//! heap bytes per input byte ([`ALLOC_RISE_FRAC`]): the
+//! simulator's host-side churn is deterministic for a given input, so a
+//! rise beyond the tolerance means new per-access allocation, not noise.
+//!
 //! One cross-engine check rides along: whenever a run measures both
 //! `culzss-v2` and `culzss-v3` with `pipeline_cycles` counters on at
 //! least [`V3_PIPELINE_WIN_MIN`] common corpora, V3 must cost fewer
@@ -569,6 +574,19 @@ pub struct Tolerances {
     pub slo_p99_rise_frac: f64,
 }
 
+/// Maximum allowed relative rise of a GPU cell's (`culzss-*`,
+/// `dec-culzss-*`) allocated bytes per input byte versus the baseline, on
+/// top of [`ALLOC_SLACK_B_PER_B`]. Allocation does not depend on host
+/// speed, so the tolerance is tight next to the 20–100× churn the gate
+/// exists to keep out. Allocating less never fails; cells measured
+/// without an allocation probe (0 bytes on either side) are skipped.
+pub const ALLOC_RISE_FRAC: f64 = 0.25;
+
+/// Absolute headroom of the allocation gate, in bytes per input byte:
+/// keeps cells that allocate almost nothing (V1 at well under 1 B/B) from
+/// failing on a few per-launch buffers.
+pub const ALLOC_SLACK_B_PER_B: f64 = 1.0;
+
 impl Default for Tolerances {
     fn default() -> Self {
         Self {
@@ -588,7 +606,7 @@ pub struct Regression {
     /// Offending corpus.
     pub corpus: String,
     /// Metric that breached (`missing-cell`, `throughput`, `ratio`,
-    /// `cycles`, `pipeline-cycles`, `slo-p99`).
+    /// `cycles`, `alloc`, `pipeline-cycles`, `slo-p99`).
     pub metric: String,
     /// Human-readable explanation with the numbers.
     pub detail: String,
@@ -684,6 +702,10 @@ pub fn compare(current: &Report, baseline: &Report, tol: &Tolerances) -> Vec<Reg
             }
         }
 
+        if let Some(failure) = alloc_gate(cur, base) {
+            failures.push(failure);
+        }
+
         let reference = reference_engine(&base.engine);
         if base.engine == reference {
             continue; // the calibration cells are not gated on throughput
@@ -722,6 +744,35 @@ pub fn compare(current: &Report, baseline: &Report, tol: &Tolerances) -> Vec<Reg
         failures.push(failure);
     }
     failures
+}
+
+/// The allocation gate on one simulated-GPU cell (`culzss-*`,
+/// `dec-culzss-*`, whose host cost is the simulator's): allocated bytes
+/// per input byte may not exceed the baseline's by more than
+/// [`ALLOC_RISE_FRAC`] plus [`ALLOC_SLACK_B_PER_B`].
+fn alloc_gate(cur: &Cell, base: &Cell) -> Option<Regression> {
+    let gpu = base.engine.starts_with("culzss-") || base.engine.starts_with("dec-culzss-");
+    if !gpu || [cur, base].iter().any(|c| c.alloc_bytes == 0 || c.input_bytes == 0) {
+        return None;
+    }
+    let per_byte = |c: &Cell| c.alloc_bytes as f64 / c.input_bytes as f64;
+    let (cur_bpb, base_bpb) = (per_byte(cur), per_byte(base));
+    let limit = base_bpb * (1.0 + ALLOC_RISE_FRAC) + ALLOC_SLACK_B_PER_B;
+    if cur_bpb <= limit {
+        return None;
+    }
+    Some(Regression {
+        engine: base.engine.clone(),
+        corpus: base.corpus.clone(),
+        metric: "alloc".into(),
+        detail: format!(
+            "allocated {cur_bpb:.1} B per input byte vs baseline {base_bpb:.1} \
+             (tolerance +{:.0} % + {ALLOC_SLACK_B_PER_B} B/B; {} vs {} bytes)",
+            ALLOC_RISE_FRAC * 100.0,
+            cur.alloc_bytes,
+            base.alloc_bytes,
+        ),
+    })
 }
 
 /// The tail-latency gate on the [`SLO_ENGINE`] cell: the current run's
@@ -995,6 +1046,43 @@ mod tests {
         // Getting cheaper never fails.
         current.cells[1].counters.insert("cycles".into(), 0.5e9);
         assert!(compare(&current, &baseline, &Tolerances::default()).is_empty());
+    }
+
+    #[test]
+    fn gpu_allocation_rise_fails_and_cpu_cells_are_exempt() {
+        let mut baseline = report(vec![
+            cell("serial", "c-files", 2.0, 0.55),
+            cell("culzss-v3", "c-files", 0.6, 0.55),
+            cell("dec-culzss-warp", "c-files", 3.0, 0.55),
+        ]);
+        for c in &mut baseline.cells {
+            c.alloc_bytes = 20 * c.input_bytes;
+        }
+        // Within tolerance (20 → 25 B/B ≤ 20 × 1.25 + 1): pass.
+        let mut current = baseline.clone();
+        for c in &mut current.cells {
+            c.alloc_bytes = 25 * c.input_bytes;
+        }
+        assert!(compare(&current, &baseline, &Tolerances::default()).is_empty());
+        // Churn comes back on the GPU cells: both fail, serial does not.
+        for c in &mut current.cells {
+            c.alloc_bytes = 200 * c.input_bytes;
+        }
+        let failures = compare(&current, &baseline, &Tolerances::default());
+        let gated: Vec<(&str, &str)> =
+            failures.iter().map(|f| (f.engine.as_str(), f.metric.as_str())).collect();
+        assert_eq!(gated, [("culzss-v3", "alloc"), ("dec-culzss-warp", "alloc")]);
+        assert!(failures[0].detail.contains("200.0 B per input byte"), "{}", failures[0]);
+        // No probe on either side: skipped, not failed.
+        current.cells[1].alloc_bytes = 0;
+        baseline.cells[2].alloc_bytes = 0;
+        assert!(compare(&current, &baseline, &Tolerances::default()).is_empty());
+        // The slack keeps near-zero cells from failing on a few buffers.
+        let mut tiny = baseline.clone();
+        tiny.cells[1].alloc_bytes = tiny.cells[1].input_bytes / 4;
+        let mut grown = tiny.clone();
+        grown.cells[1].alloc_bytes = tiny.cells[1].input_bytes;
+        assert!(compare(&grown, &tiny, &Tolerances::default()).is_empty());
     }
 
     #[test]

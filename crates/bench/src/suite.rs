@@ -372,6 +372,16 @@ pub fn run_cell(
     }
 }
 
+/// Host threads that run the simulated blocks of every `culzss-*` and
+/// `dec-culzss-*` cell, and the worker count behind the allocation
+/// figures in `BENCH_BASELINE.json`. Each launch worker keeps one block
+/// meter, whose per-thread access logs add up to 4 B per input byte per
+/// extra worker (`dec-culzss-warp` on highly-compressible), so an
+/// unpinned count would tie the allocation gate to the runner's core
+/// count. Pinning it also keeps the GPU cells' throughput comparable
+/// across runners.
+const GPU_SIM_WORKERS: usize = 2;
+
 /// One reused-instance GPU cell; the cost-model counters come from the
 /// final rep's launch stats. Reusing the `Culzss` object across reps is
 /// deliberate: it exercises the buffer-pool steady state the arena
@@ -384,7 +394,7 @@ fn gpu_cell(
     cfg: &SuiteCfg,
     probe: AllocProbe,
 ) -> Cell {
-    let culzss = Culzss::new(version);
+    let culzss = Culzss::new(version).with_workers(GPU_SIM_WORKERS);
     let mut cell = measure(engine, dataset, data, cfg, probe, || {
         let (out, stats) = culzss.compress(data).expect("gpu compress");
         let mut counters: BTreeMap<String, f64> = stats
@@ -523,7 +533,8 @@ fn gpu_decode_cell(
     cfg: &SuiteCfg,
     probe: AllocProbe,
 ) -> Cell {
-    let culzss = Culzss::new(version).with_decode_engine(decode_engine);
+    let culzss =
+        Culzss::new(version).with_workers(GPU_SIM_WORKERS).with_decode_engine(decode_engine);
     let (stream, _) = culzss.compress(data).expect("gpu compress");
     let mut cell = decode_measure(engine, dataset, stream.len(), cfg, probe, || {
         let (out, stats) = culzss.decompress(&stream).expect("gpu decompress");

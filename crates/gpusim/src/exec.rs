@@ -454,13 +454,11 @@ impl GpuSim {
 
         crossbeam::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|_| loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= cfg.grid_dim {
-                        break;
-                    }
+                scope.spawn(|_| {
+                    // One context per worker, rearmed between blocks, so
+                    // the meter's logs and scratch keep their capacity.
                     let mut block = BlockCtx {
-                        block_idx: idx,
+                        block_idx: 0,
                         grid_dim: cfg.grid_dim,
                         block_dim: cfg.block_dim,
                         meter: BlockMeter::new(
@@ -471,13 +469,21 @@ impl GpuSim {
                         ),
                         exited: vec![false; cfg.block_dim],
                     };
-                    block.meter.note_shared_alloc(cfg.shared_bytes);
-                    if checked {
-                        block.meter.enable_sanitizer(idx);
+                    loop {
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        if idx >= cfg.grid_dim {
+                            break;
+                        }
+                        block.block_idx = idx;
+                        block.exited.fill(false);
+                        block.meter.note_shared_alloc(cfg.shared_bytes);
+                        if checked {
+                            block.meter.enable_sanitizer(idx);
+                        }
+                        let output = kernel.run_block(&mut block);
+                        let (metrics, findings) = block.meter.finish_block();
+                        slots.lock()[idx] = Some((output, metrics, findings));
                     }
-                    let output = kernel.run_block(&mut block);
-                    let (metrics, findings) = block.meter.finish_checked();
-                    slots.lock()[idx] = Some((output, metrics, findings));
                 });
             }
         })

@@ -17,8 +17,15 @@
 //!   (`charge_ops`, `shared_bulk`, `global_bulk`); the same formulas are
 //!   applied in closed form. This keeps simulation time proportional to
 //!   the real algorithm, not to the number of modelled accesses.
+//!
+//! The exact path allocates nothing once warm. Each launch worker owns one
+//! meter and hands it from block to block ([`BlockMeter::finish_block`]
+//! rearms it), so the per-thread logs keep their capacity. At a barrier
+//! every warp instruction is gathered into one reused scratch buffer,
+//! visiting only the lanes that still hold accesses, and priced in place
+//! by [`crate::coalesce`] with a single per-bank counter array.
 
-use crate::coalesce::{shared_conflict_cycles, transactions_for_warp, Access};
+use crate::coalesce::{shared_conflict_cycles, transactions_for_warp, Access, BankCounts};
 use crate::sanitizer::{AccessKind, BlockSanitizerReport, SanitizerState};
 
 /// Aggregated, cost-model-ready metrics for one block (or, after
@@ -77,7 +84,8 @@ impl BlockMetrics {
     }
 }
 
-/// Live metering state for one executing block.
+/// Live metering state for one executing block; reusable across blocks
+/// of the same geometry.
 #[derive(Debug)]
 pub struct BlockMeter {
     warp_size: usize,
@@ -90,7 +98,10 @@ pub struct BlockMeter {
     phase_shared: Vec<Vec<Access>>,
     metrics: BlockMetrics,
     transaction_bytes: u64,
-    shared_banks: u64,
+    /// Scratch for assembling warp instructions at a barrier.
+    scratch: InstructionScratch,
+    /// Scratch: per-bank distinct-word counters for conflict pricing.
+    bank_counts: BankCounts,
     /// Racecheck state; present only under [`crate::exec::GpuSim::launch_checked`].
     sanitizer: Option<Box<SanitizerState>>,
 }
@@ -109,11 +120,16 @@ impl BlockMeter {
             phase_ops: vec![0; block_dim],
             phase_global: vec![Vec::new(); block_dim],
             phase_shared: vec![Vec::new(); block_dim],
-            metrics: BlockMetrics { blocks: 1, block_dim, ..BlockMetrics::default() },
+            metrics: Self::fresh_metrics(block_dim),
             transaction_bytes: transaction_bytes as u64,
-            shared_banks: shared_banks as u64,
+            scratch: InstructionScratch::default(),
+            bank_counts: BankCounts::new(shared_banks),
             sanitizer: None,
         }
+    }
+
+    fn fresh_metrics(block_dim: usize) -> BlockMetrics {
+        BlockMetrics { blocks: 1, block_dim, ..BlockMetrics::default() }
     }
 
     /// Arms the shared-memory sanitizer for this block (checked launches).
@@ -214,33 +230,17 @@ impl BlockMeter {
         // Coalescing: the k-th logged access of each lane forms one
         // warp-wide memory instruction.
         let warps = self.block_dim.div_ceil(self.warp_size);
-        let mut instruction: Vec<Access> = Vec::with_capacity(self.warp_size);
+        let segment_bytes = self.transaction_bytes;
         for w in 0..warps {
             let lanes = w * self.warp_size..((w + 1) * self.warp_size).min(self.block_dim);
-
-            let max_global = lanes.clone().map(|t| self.phase_global[t].len()).max().unwrap_or(0);
-            for k in 0..max_global {
-                instruction.clear();
-                for t in lanes.clone() {
-                    if let Some(a) = self.phase_global[t].get(k) {
-                        instruction.push(*a);
-                    }
-                }
+            self.scratch.for_each(&self.phase_global[lanes.clone()], |instruction| {
                 self.metrics.global_transactions +=
-                    transactions_for_warp(&instruction, self.transaction_bytes) as f64;
-            }
-
-            let max_shared = lanes.clone().map(|t| self.phase_shared[t].len()).max().unwrap_or(0);
-            for k in 0..max_shared {
-                instruction.clear();
-                for t in lanes.clone() {
-                    if let Some(a) = self.phase_shared[t].get(k) {
-                        instruction.push(*a);
-                    }
-                }
+                    transactions_for_warp(instruction, segment_bytes) as f64;
+            });
+            self.scratch.for_each(&self.phase_shared[lanes], |instruction| {
                 self.metrics.shared_cycles +=
-                    shared_conflict_cycles(&instruction, self.shared_banks) as f64;
-            }
+                    shared_conflict_cycles(instruction, &mut self.bank_counts) as f64;
+            });
         }
         for v in &mut self.phase_global {
             v.clear();
@@ -252,27 +252,61 @@ impl BlockMeter {
 
     /// Finalizes the meter (flushing any un-barriered phase) and returns
     /// the metrics.
-    pub fn finish(self) -> BlockMetrics {
-        self.finish_checked().0
+    pub fn finish(mut self) -> BlockMetrics {
+        self.finish_block().0
     }
 
-    /// [`Self::finish`], additionally yielding the sanitizer's findings
-    /// when a checked launch armed it. The end-of-kernel flush is not a
-    /// barrier: it sweeps trailing accesses for conflicts but cannot be
-    /// divergent.
-    pub fn finish_checked(mut self) -> (BlockMetrics, Option<BlockSanitizerReport>) {
+    /// Closes the current block: flushes any un-barriered phase and
+    /// returns the block's metrics plus the sanitizer's findings when a
+    /// checked launch armed it. The end-of-kernel flush is not a barrier:
+    /// it sweeps trailing accesses for conflicts but cannot be divergent.
+    ///
+    /// The meter is left rearmed for the next block of the same geometry
+    /// — fresh metrics, sanitizer off, shared footprint unset — with its
+    /// per-thread logs and scratch buffers keeping their capacity.
+    pub fn finish_block(&mut self) -> (BlockMetrics, Option<BlockSanitizerReport>) {
         let pending = self.phase_ops.iter().any(|&o| o > 0)
             || self.phase_global.iter().any(|v| !v.is_empty())
             || self.phase_shared.iter().any(|v| !v.is_empty());
         if pending {
             self.end_phase_inner(None, false);
         }
-        (self.metrics, self.sanitizer.map(|s| s.into_report()))
+        let metrics = std::mem::replace(&mut self.metrics, Self::fresh_metrics(self.block_dim));
+        (metrics, self.sanitizer.take().map(|s| s.into_report()))
     }
 
     /// Read-only view of the metrics accumulated so far (completed phases).
     pub fn metrics(&self) -> &BlockMetrics {
         &self.metrics
+    }
+}
+
+/// Reused buffers for assembling one warp's memory instructions.
+#[derive(Debug, Default)]
+struct InstructionScratch {
+    /// Lanes of the warp with accesses left to price.
+    lanes: Vec<usize>,
+    /// The instruction being priced.
+    accesses: Vec<Access>,
+}
+
+impl InstructionScratch {
+    /// Hands `price` each warp instruction of one warp's lane logs in
+    /// order: instruction `k` holds the `k`-th access of every lane that
+    /// logged more than `k` (lanes with fewer accesses sit it out). Only
+    /// lanes still holding accesses are visited, so a phase where one lane
+    /// logs a long run costs that run, not the run times the warp width.
+    fn for_each(&mut self, logs: &[Vec<Access>], mut price: impl FnMut(&mut [Access])) {
+        self.lanes.clear();
+        self.lanes.extend((0..logs.len()).filter(|&lane| !logs[lane].is_empty()));
+        let mut k = 0;
+        while !self.lanes.is_empty() {
+            self.accesses.clear();
+            self.accesses.extend(self.lanes.iter().map(|&lane| logs[lane][k]));
+            price(&mut self.accesses);
+            k += 1;
+            self.lanes.retain(|&lane| logs[lane].len() > k);
+        }
     }
 }
 

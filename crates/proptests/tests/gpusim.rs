@@ -10,7 +10,7 @@
 
 use culzss_gpusim::coalesce::{
     shared_conflict_cycles, strided_conflict_ways, strided_transactions, transactions_for_warp,
-    Access,
+    Access, BankCounts,
 };
 use culzss_gpusim::cost::cost_launch;
 use culzss_gpusim::device::DeviceSpec;
@@ -25,12 +25,20 @@ fn accesses() -> impl Strategy<Value = Vec<Access>> {
     )
 }
 
+fn warp_txns(acc: &[Access]) -> u64 {
+    transactions_for_warp(&mut acc.to_vec(), 128)
+}
+
+fn warp_ways(acc: &[Access]) -> u64 {
+    shared_conflict_cycles(&mut acc.to_vec(), &mut BankCounts::new(32))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn transactions_bounded(acc in accesses()) {
-        let txns = transactions_for_warp(&acc, 128);
+        let txns = warp_txns(&acc);
         prop_assert!(txns >= 1);
         // Each access touches at most ceil(bytes/128)+1 segments.
         let upper: u64 = acc.iter().map(|a| u64::from(a.bytes) / 128 + 2).sum();
@@ -39,10 +47,10 @@ proptest! {
 
     #[test]
     fn transactions_monotone_under_extension(acc in accesses(), extra in 0u64..1 << 20) {
-        let base = transactions_for_warp(&acc, 128);
+        let base = warp_txns(&acc);
         let mut more = acc.clone();
         more.push(Access { addr: extra, bytes: 4 });
-        prop_assert!(transactions_for_warp(&more, 128) >= base);
+        prop_assert!(warp_txns(&more) >= base);
     }
 
     #[test]
@@ -57,14 +65,14 @@ proptest! {
             .map(|t| Access { addr: base + t * stride, bytes: bytes as u32 })
             .collect();
         prop_assert_eq!(
-            transactions_for_warp(&acc, 128),
+            warp_txns(&acc),
             strided_transactions(base, threads, bytes, stride, 128)
         );
     }
 
     #[test]
     fn conflict_ways_bounded(acc in accesses()) {
-        let ways = shared_conflict_cycles(&acc, 32);
+        let ways = warp_ways(&acc);
         prop_assert!(ways >= 1);
         // Cannot exceed the number of distinct words touched.
         let mut words: Vec<u64> = acc
@@ -79,7 +87,7 @@ proptest! {
     #[test]
     fn broadcast_is_conflict_free(addr in 0u64..1 << 16, lanes in 1usize..32) {
         let acc: Vec<Access> = (0..lanes).map(|_| Access { addr, bytes: 4 }).collect();
-        prop_assert_eq!(shared_conflict_cycles(&acc, 32), 1);
+        prop_assert_eq!(warp_ways(&acc), 1);
     }
 
     #[test]
