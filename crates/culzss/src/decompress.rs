@@ -23,7 +23,9 @@
 //!   shallow — and honestly do *not* drop on deeply chained data
 //!   (run-length-like corpora), which the cost model shows.
 
-use culzss_gpusim::exec::{BlockCtx, BlockKernel, LaunchStats};
+use std::cell::RefCell;
+
+use culzss_gpusim::exec::{BlockCtx, BlockKernel, LaunchError, LaunchStats, ThreadCtx};
 use culzss_gpusim::sanitizer::SanitizerReport;
 use culzss_gpusim::{DeviceSpec, GpuSim, LaunchConfig};
 use culzss_lzss::config::LzssConfig;
@@ -145,40 +147,160 @@ impl BlockKernel for DecompressKernel<'_> {
 /// the decode proptests).
 pub fn offset_table(tokens: &[Token]) -> Vec<usize> {
     let mut offsets = Vec::with_capacity(tokens.len());
+    fill_offsets(tokens, &mut offsets);
+    offsets
+}
+
+/// [`offset_table`] into a reused buffer.
+fn fill_offsets(tokens: &[Token], offsets: &mut Vec<usize>) {
+    offsets.clear();
     let mut pos = 0usize;
     for t in tokens {
         offsets.push(pos);
         pos += t.coverage();
     }
-    offsets
 }
 
 /// Dependency wavefront levels for pass 2: literals are level 0; a match
 /// is one level above the deepest token producing any of its source bytes
 /// *before* its own start (self-overlapping bytes resolve in-lane).
-/// Returns per-token levels plus the maximum, which is the number of
+/// Fills per-token levels and returns the maximum, which is the number of
 /// barrier-separated copy rounds the kernel executes.
-fn dependency_levels(tokens: &[Token], offsets: &[usize], total: usize) -> (Vec<u32>, u32) {
-    let mut producer = vec![0u32; total];
-    let mut level = vec![0u32; tokens.len()];
-    let mut max_level = 0u32;
-    for (i, t) in tokens.iter().enumerate() {
-        let start = offsets[i];
-        let cover = t.coverage();
-        if let Token::Match { distance, .. } = t {
-            let src = start - *distance as usize;
-            let deepest = (src..(src + cover).min(start))
-                .map(|p| level[producer[p] as usize])
-                .max()
-                .unwrap_or(0);
-            level[i] = deepest + 1;
-            max_level = max_level.max(level[i]);
-        }
-        for slot in producer.iter_mut().skip(start).take(cover) {
-            *slot = i as u32;
+///
+/// Every token covers at least one byte, so `offsets` strictly increases:
+/// a binary search finds the token holding a match's first source byte,
+/// and the producers are it and the earlier tokens after it that start
+/// before the source run ends. The tokens lying wholly between that byte
+/// and the match number fewer than `distance`, so the search only needs
+/// the last `distance` offsets.
+fn fill_levels(tokens: &[Token], offsets: &[usize], levels: &mut Vec<u32>) -> u32 {
+    levels.clear();
+    let mut max_level = 0;
+    for (i, token) in tokens.iter().enumerate() {
+        let level = match *token {
+            Token::Literal(_) => 0,
+            Token::Match { distance, length } => {
+                let src = offsets[i] - usize::from(distance);
+                let end = src + usize::from(length);
+                let near = i.saturating_sub(usize::from(distance));
+                let first = near + offsets[near..i].partition_point(|&o| o <= src) - 1;
+                let deepest = (first..i)
+                    .take_while(|&j| offsets[j] < end)
+                    .map(|j| levels[j])
+                    .max()
+                    .unwrap_or(0);
+                deepest + 1
+            }
+        };
+        max_level = max_level.max(level);
+        levels.push(level);
+    }
+    max_level
+}
+
+/// Buckets the matches by copy round in one pass over the tokens. Round
+/// `r`'s matches end up in `matches[starts[r]..starts[r + 1]]`, grouped
+/// by lane in ascending lane order and in token order within a lane:
+/// exactly the matches, and the order, that a strided `levels[i] == r`
+/// scan hands each lane.
+fn fill_rounds(
+    levels: &[u32],
+    max_level: u32,
+    block_dim: usize,
+    starts: &mut Vec<usize>,
+    matches: &mut Vec<u32>,
+) {
+    // Counting sort by level. Each level's count sits two slots up, so
+    // after the prefix sum `starts[r + 1]` is round r's first slot; using
+    // it as round r's write cursor leaves it at round r's end, which is
+    // where round r + 1 begins.
+    let rounds = max_level as usize;
+    starts.clear();
+    starts.resize(rounds + 3, 0);
+    for &level in levels {
+        if level > 0 {
+            starts[level as usize + 2] += 1;
         }
     }
-    (level, max_level)
+    for r in 1..starts.len() {
+        starts[r] += starts[r - 1];
+    }
+    matches.clear();
+    matches.resize(starts[rounds + 2], 0);
+    for lane in 0..block_dim {
+        for i in (lane..levels.len()).step_by(block_dim) {
+            let level = levels[i] as usize;
+            if level > 0 {
+                matches[starts[level + 1]] = i as u32;
+                starts[level + 1] += 1;
+            }
+        }
+    }
+}
+
+/// Host tables behind one warp-decoded block. Each launch worker keeps
+/// one and reuses it from block to block, so once the tables have grown
+/// to the largest chunk, decoding a chunk allocates only its output.
+#[derive(Debug, Default)]
+struct WarpScratch {
+    /// The chunk's token stream.
+    tokens: Vec<Token>,
+    /// Pass 1's per-token output offsets.
+    offsets: Vec<usize>,
+    /// Per-token dependency level (0 for literals).
+    levels: Vec<u32>,
+    /// Round `r` copies `round_matches[round_starts[r]..round_starts[r + 1]]`.
+    round_starts: Vec<usize>,
+    /// Match token indices ordered by (level, lane, index).
+    round_matches: Vec<u32>,
+}
+
+thread_local! {
+    /// Launch workers are host threads, so this is one table set per
+    /// worker.
+    static WARP_SCRATCH: RefCell<WarpScratch> = RefCell::new(WarpScratch::default());
+}
+
+/// Pass 2's copy rounds over a block whose tokens and offsets are in the
+/// scratch; the last argument is the staged output's shared base.
+type CopyRounds = fn(&mut BlockCtx, &mut WarpScratch, u64);
+
+/// Pass 2, rounds 1..=max_level: back-reference copies in dependency
+/// order. A match at level r only reads bytes written at levels < r
+/// (earlier phases) or by its own lane (overlap), so each round is
+/// race-free; the barrier between rounds is the real cost of deep chains
+/// and is charged per round. Each round visits only its own matches.
+fn bucketed_copy_rounds(block: &mut BlockCtx, s: &mut WarpScratch, out_base: u64) {
+    let block_dim = block.block_dim;
+    let max_level = fill_levels(&s.tokens, &s.offsets, &mut s.levels);
+    fill_rounds(&s.levels, max_level, block_dim, &mut s.round_starts, &mut s.round_matches);
+    let s = &*s;
+    let lane_of = |i: u32| i as usize % block_dim;
+    for round in 1..=max_level as usize {
+        let matches = &s.round_matches[s.round_starts[round]..s.round_starts[round + 1]];
+        // The round's matches come grouped by ascending lane, and only
+        // the lanes holding one of them run.
+        let lanes = matches.chunk_by(|&a, &b| lane_of(a) == lane_of(b));
+        block.par_threads_with(lanes.map(|mine| (lane_of(mine[0]), mine)), |t, mine| {
+            for &i in mine {
+                copy_match(t, s.tokens[i as usize], s.offsets[i as usize], out_base);
+            }
+        });
+    }
+}
+
+/// One lane's copy of one match into the staged output, byte by byte.
+fn copy_match(t: &mut ThreadCtx, token: Token, offset: usize, out_base: u64) {
+    if let Token::Match { distance, length } = token {
+        let dst = out_base + offset as u64;
+        let src = dst - u64::from(distance);
+        let length = u64::from(length);
+        t.charge_ops(WARP_MATCH_SETUP_OPS + length * WARP_COPY_OPS);
+        for k in 0..length {
+            t.shared_read(src + k, 1);
+            t.shared_write(dst + k, 1);
+        }
+    }
 }
 
 /// The two-pass warp-parallel decompression kernel: grid = chunk count.
@@ -210,39 +332,46 @@ impl BlockKernel for WarpDecompressKernel<'_> {
     type Output = Result<Vec<u8>, Error>;
 
     fn run_block(&self, block: &mut BlockCtx) -> Result<Vec<u8>, Error> {
+        WARP_SCRATCH.with_borrow_mut(|s| self.decode_block(block, s, bucketed_copy_rounds))
+    }
+}
+
+impl WarpDecompressKernel<'_> {
+    fn decode_block(
+        &self,
+        block: &mut BlockCtx,
+        s: &mut WarpScratch,
+        copy_rounds: CopyRounds,
+    ) -> Result<Vec<u8>, Error> {
         let (range, unc_len) = &self.layout[block.block_idx];
         let body = &self.payload[range.clone()];
 
         // Functional decode up front: token stream and typed errors are
         // byte-identical to the serial engine by construction.
-        let tokens = match format::decode(body, &self.config, *unc_len) {
-            Ok(tokens) => tokens,
-            Err(e) => {
-                // The structural scan still ran before the bad group or
-                // truncation was hit; charge it and surface the error.
-                block.single_thread(|t| {
-                    t.charge_ops((body.len() as u64 / 8 + 1) * WARP_GROUP_SCAN_OPS);
-                    t.global_cached_bulk(body.len() as u64);
-                });
-                return Err(e);
-            }
-        };
-        let out = match token::expand(&tokens, &self.config) {
-            Ok(out) => out,
-            Err(e) => {
-                block.single_thread(|t| {
-                    t.charge_ops(tokens.len() as u64 * WARP_TOKEN_PARSE_OPS);
-                    t.global_cached_bulk(body.len() as u64);
-                });
-                return Err(e);
-            }
-        };
+        if let Err(e) = format::decode_into(body, &self.config, *unc_len, &mut s.tokens) {
+            // The structural scan still ran before the bad group or
+            // truncation was hit; charge it and surface the error.
+            block.single_thread(|t| {
+                t.charge_ops((body.len() as u64 / 8 + 1) * WARP_GROUP_SCAN_OPS);
+                t.global_cached_bulk(body.len() as u64);
+            });
+            return Err(e);
+        }
+        let mut out = Vec::with_capacity(*unc_len);
+        if let Err(e) = token::expand_into(&s.tokens, &self.config, &mut out) {
+            block.single_thread(|t| {
+                t.charge_ops(s.tokens.len() as u64 * WARP_TOKEN_PARSE_OPS);
+                t.global_cached_bulk(body.len() as u64);
+            });
+            return Err(e);
+        }
+        fill_offsets(&s.tokens, &mut s.offsets);
+        let tokens = &s.tokens;
+        let offsets = &s.offsets;
 
         let n_tokens = tokens.len();
         let groups = n_tokens.div_ceil(8).max(1);
         let block_dim = block.block_dim;
-        let offsets = offset_table(&tokens);
-        let (levels, max_level) = dependency_levels(&tokens, &offsets, out.len());
 
         // Shared arena layout (see type docs).
         let offs_base = 0u64;
@@ -297,13 +426,17 @@ impl BlockKernel for WarpDecompressKernel<'_> {
         let mut stride = 1usize;
         while stride < groups {
             block.par_threads(|t| {
+                let mut ops = 0u64;
                 for g in (t.tid..groups).step_by(block_dim) {
-                    t.charge_ops(WARP_PREFIX_OPS);
+                    ops += WARP_PREFIX_OPS;
                     t.shared_read(src + 2 * g as u64, 2);
                     if g >= stride {
                         t.shared_read(src + 2 * (g - stride) as u64, 2);
                     }
                     t.shared_write(dst + 2 * g as u64, 2);
+                }
+                if ops > 0 {
+                    t.charge_ops(ops);
                 }
             });
             std::mem::swap(&mut src, &mut dst);
@@ -315,6 +448,7 @@ impl BlockKernel for WarpDecompressKernel<'_> {
         // The intra-group coverages are still register-resident from 1b
         // (same lane ↔ same groups), so only the base is re-read.
         block.par_threads(|t| {
+            let mut ops = 0u64;
             for g in (t.tid..groups).step_by(block_dim) {
                 if g > 0 {
                     t.shared_read(src + 2 * (g - 1) as u64, 2);
@@ -322,52 +456,32 @@ impl BlockKernel for WarpDecompressKernel<'_> {
                 let lo = g * 8;
                 let hi = (lo + 8).min(n_tokens);
                 for i in lo..hi {
-                    t.charge_ops(WARP_TOKEN_OFFSET_OPS);
+                    ops += WARP_TOKEN_OFFSET_OPS;
                     t.shared_write(offs_base + 2 * i as u64, 2);
                 }
+            }
+            if ops > 0 {
+                t.charge_ops(ops);
             }
         });
 
         // Pass 2, round 0 (parallel over tokens): every literal lands
         // independently — one staging store each, no ordering.
         block.par_threads(|t| {
-            let mut cached = 0u64;
+            let mut literals = 0u64;
             for i in (t.tid..n_tokens).step_by(block_dim) {
                 if let Token::Literal(_) = tokens[i] {
-                    t.charge_ops(WARP_LITERAL_OPS);
-                    cached += 1;
+                    literals += 1;
                     t.shared_write(out_base + offsets[i] as u64, 1);
                 }
             }
-            if cached > 0 {
-                t.global_cached_bulk(cached);
+            if literals > 0 {
+                t.charge_ops(literals * WARP_LITERAL_OPS);
+                t.global_cached_bulk(literals);
             }
         });
 
-        // Pass 2, rounds 1..=max_level: back-reference copies in
-        // dependency order. A match at level r only reads bytes written
-        // at levels < r (earlier phases) or by its own lane (overlap), so
-        // each round is race-free; the barrier between rounds is the real
-        // cost of deep chains and is charged per round.
-        for round in 1..=max_level {
-            block.par_threads(|t| {
-                for i in (t.tid..n_tokens).step_by(block_dim) {
-                    if levels[i] != round {
-                        continue;
-                    }
-                    if let Token::Match { distance, .. } = &tokens[i] {
-                        let start = offsets[i] as u64;
-                        let src_start = start - u64::from(*distance);
-                        t.charge_ops(WARP_MATCH_SETUP_OPS);
-                        for k in 0..tokens[i].coverage() as u64 {
-                            t.charge_ops(WARP_COPY_OPS);
-                            t.shared_read(out_base + src_start + k, 1);
-                            t.shared_write(out_base + start + k, 1);
-                        }
-                    }
-                }
-            });
-        }
+        copy_rounds(block, s, out_base);
 
         // Writeback: staged chunk streams to global memory in coalesced
         // 4-byte words, lanes striding the chunk together.
@@ -410,19 +524,6 @@ pub fn warp_engine_fits(device: &DeviceSpec, layout: &[(std::ops::Range<usize>, 
 }
 
 /// Runs GPU decompression over a parsed container payload with the
-/// serial engine (kept for source compatibility; see
-/// [`run_with_engine`]).
-pub fn run(
-    sim: &GpuSim,
-    payload: &[u8],
-    layout: &[(std::ops::Range<usize>, usize)],
-    config: &LzssConfig,
-    threads_per_block: usize,
-) -> Result<(Vec<Vec<u8>>, LaunchStats), crate::error::CulzssError> {
-    run_with_engine(sim, payload, layout, config, threads_per_block, DecodeEngine::Serial)
-}
-
-/// Runs GPU decompression over a parsed container payload with the
 /// selected engine, returning the decoded chunks in order plus launch
 /// statistics.
 pub fn run_with_engine(
@@ -433,21 +534,9 @@ pub fn run_with_engine(
     threads_per_block: usize,
     engine: DecodeEngine,
 ) -> Result<(Vec<Vec<u8>>, LaunchStats), crate::error::CulzssError> {
-    let engine = effective_engine(engine, sim.device(), layout);
-    let (outputs, stats) = match engine {
-        DecodeEngine::Serial => {
-            let kernel = DecompressKernel { payload, layout, config: config.clone() };
-            let cfg = LaunchConfig::new(layout.len(), threads_per_block);
-            let result = sim.launch(cfg, &kernel)?;
-            (result.outputs, result.stats)
-        }
-        DecodeEngine::WarpParallel => {
-            let kernel = WarpDecompressKernel { payload, layout, config: config.clone() };
-            let result = sim.launch(warp_launch_config(layout, threads_per_block), &kernel)?;
-            (result.outputs, result.stats)
-        }
-    };
-    collect(outputs).map(|chunks| (chunks, stats))
+    let (chunks, stats, _) =
+        run_engine(sim, payload, layout, config, threads_per_block, engine, false)?;
+    Ok((chunks, stats))
 }
 
 /// [`run_with_engine`] under the shared-memory sanitizer: identical
@@ -460,22 +549,59 @@ pub fn run_checked_with_engine(
     threads_per_block: usize,
     engine: DecodeEngine,
 ) -> Result<(Vec<Vec<u8>>, LaunchStats, SanitizerReport), crate::error::CulzssError> {
-    let engine = effective_engine(engine, sim.device(), layout);
-    let (outputs, stats, sanitizer) = match engine {
-        DecodeEngine::Serial => {
-            let kernel = DecompressKernel { payload, layout, config: config.clone() };
-            let cfg = LaunchConfig::new(layout.len(), threads_per_block);
-            let result = sim.launch_checked(cfg, &kernel)?;
-            (result.outputs, result.stats, result.sanitizer)
-        }
-        DecodeEngine::WarpParallel => {
-            let kernel = WarpDecompressKernel { payload, layout, config: config.clone() };
-            let result =
-                sim.launch_checked(warp_launch_config(layout, threads_per_block), &kernel)?;
-            (result.outputs, result.stats, result.sanitizer)
-        }
+    let (chunks, stats, sanitizer) =
+        run_engine(sim, payload, layout, config, threads_per_block, engine, true)?;
+    Ok((chunks, stats, sanitizer.expect("a checked launch reports")))
+}
+
+/// The one engine dispatch behind [`run_with_engine`] and
+/// [`run_checked_with_engine`]; the sanitizer report is `Some` exactly
+/// when `checked`.
+fn run_engine(
+    sim: &GpuSim,
+    payload: &[u8],
+    layout: &[(std::ops::Range<usize>, usize)],
+    config: &LzssConfig,
+    threads_per_block: usize,
+    engine: DecodeEngine,
+    checked: bool,
+) -> Result<Launched<Vec<u8>>, crate::error::CulzssError> {
+    let config = config.clone();
+    let (outputs, stats, sanitizer) = match effective_engine(engine, sim.device(), layout) {
+        DecodeEngine::Serial => launch(
+            sim,
+            LaunchConfig::new(layout.len(), threads_per_block),
+            &DecompressKernel { payload, layout, config },
+            checked,
+        )?,
+        DecodeEngine::WarpParallel => launch(
+            sim,
+            warp_launch_config(layout, threads_per_block),
+            &WarpDecompressKernel { payload, layout, config },
+            checked,
+        )?,
     };
     collect(outputs).map(|chunks| (chunks, stats, sanitizer))
+}
+
+/// Per-block outputs, launch statistics and, on checked launches, the
+/// sanitizer report.
+type Launched<R> = (Vec<R>, LaunchStats, Option<SanitizerReport>);
+
+/// Launches `kernel`, under the sanitizer when `checked`.
+fn launch<K: BlockKernel>(
+    sim: &GpuSim,
+    cfg: LaunchConfig,
+    kernel: &K,
+    checked: bool,
+) -> Result<Launched<K::Output>, LaunchError> {
+    Ok(if checked {
+        let result = sim.launch_checked(cfg, kernel)?;
+        (result.outputs, result.stats, Some(result.sanitizer))
+    } else {
+        let result = sim.launch(cfg, kernel)?;
+        (result.outputs, result.stats, None)
+    })
 }
 
 fn effective_engine(
@@ -536,8 +662,15 @@ mod tests {
         let input = b"gpu decompression block parallel over chunk table ".repeat(500);
         let (payload, layout) = chunked(&input, &params);
 
-        let (chunks, stats) =
-            run(&sim(), &payload, &layout, &config, params.threads_per_block).unwrap();
+        let (chunks, stats) = run_with_engine(
+            &sim(),
+            &payload,
+            &layout,
+            &config,
+            params.threads_per_block,
+            DecodeEngine::Serial,
+        )
+        .unwrap();
         let restored: Vec<u8> = chunks.concat();
         assert_eq!(restored, input);
         assert_eq!(stats.grid_dim, layout.len());
@@ -564,7 +697,8 @@ mod tests {
         let chunk = vec![9u8; 4096];
         let body = format::encode(&serial::tokenize(&chunk, &config), &config);
         let layout = vec![(0..body.len(), chunk.len())];
-        let (_, stats) = run(&sim(), &body, &layout, &config, 128).unwrap();
+        let (_, stats) =
+            run_with_engine(&sim(), &body, &layout, &config, 128, DecodeEngine::Serial).unwrap();
         // Only lane 0 works: warp-serialized ops ≈ thread ops (factor 32
         // divergence), the structural reason decompression speedups are
         // modest in the paper.
@@ -645,6 +779,159 @@ mod tests {
             pos += t.coverage();
         }
         assert_eq!(pos, expanded.len());
+    }
+
+    /// The copy rounds as first written, kept as the oracle for the
+    /// bucketed rounds: levels come from a per-byte producer map, and
+    /// every round rescans every token for the ones at its level.
+    fn rescan_copy_rounds(block: &mut BlockCtx, s: &mut WarpScratch, out_base: u64) {
+        let tokens = &s.tokens;
+        let offsets = &s.offsets;
+        let (levels, max_level) = producer_map_levels(tokens, offsets);
+        let n_tokens = tokens.len();
+        let block_dim = block.block_dim;
+        for round in 1..=max_level {
+            block.par_threads(|t| {
+                for i in (t.tid..n_tokens).step_by(block_dim) {
+                    if levels[i] != round {
+                        continue;
+                    }
+                    if let Token::Match { distance, .. } = &tokens[i] {
+                        let start = offsets[i] as u64;
+                        let src_start = start - u64::from(*distance);
+                        t.charge_ops(WARP_MATCH_SETUP_OPS);
+                        for k in 0..tokens[i].coverage() as u64 {
+                            t.charge_ops(WARP_COPY_OPS);
+                            t.shared_read(out_base + src_start + k, 1);
+                            t.shared_write(out_base + start + k, 1);
+                        }
+                    }
+                }
+            });
+        }
+    }
+
+    /// Dependency levels from a map of which token produced each output
+    /// byte.
+    fn producer_map_levels(tokens: &[Token], offsets: &[usize]) -> (Vec<u32>, u32) {
+        let total = tokens.iter().map(Token::coverage).sum();
+        let mut producer = vec![0u32; total];
+        let mut level = vec![0u32; tokens.len()];
+        let mut max_level = 0u32;
+        for (i, t) in tokens.iter().enumerate() {
+            let start = offsets[i];
+            let cover = t.coverage();
+            if let Token::Match { distance, .. } = t {
+                let src = start - *distance as usize;
+                let deepest = (src..(src + cover).min(start))
+                    .map(|p| level[producer[p] as usize])
+                    .max()
+                    .unwrap_or(0);
+                level[i] = deepest + 1;
+                max_level = max_level.max(level[i]);
+            }
+            for slot in producer.iter_mut().skip(start).take(cover) {
+                *slot = i as u32;
+            }
+        }
+        (level, max_level)
+    }
+
+    /// The warp decoder with the oracle's copy rounds, on fresh tables.
+    struct RescanKernel<'a>(WarpDecompressKernel<'a>);
+
+    impl BlockKernel for RescanKernel<'_> {
+        type Output = Result<Vec<u8>, Error>;
+
+        fn run_block(&self, block: &mut BlockCtx) -> Result<Vec<u8>, Error> {
+            self.0.decode_block(block, &mut WarpScratch::default(), rescan_copy_rounds)
+        }
+    }
+
+    /// Runs the warp decoder and the rescanning oracle under the
+    /// sanitizer and asserts they are indistinguishable: outputs (typed
+    /// errors included), per-block metrics and sanitizer reports.
+    fn assert_rounds_match_the_rescan_oracle(
+        what: &str,
+        payload: &[u8],
+        layout: &[(std::ops::Range<usize>, usize)],
+        config: &LzssConfig,
+    ) {
+        let sim = sim();
+        let kernel = || WarpDecompressKernel { payload, layout, config: config.clone() };
+        let cfg = warp_launch_config(layout, 128);
+        let bucketed = sim.launch_checked(cfg, &kernel()).unwrap();
+        let rescan = sim.launch_checked(cfg, &RescanKernel(kernel())).unwrap();
+        assert_eq!(bucketed.outputs, rescan.outputs, "{what}: outputs");
+        assert_eq!(bucketed.stats.per_block, rescan.stats.per_block, "{what}: per-block metrics");
+        assert_eq!(bucketed.sanitizer, rescan.sanitizer, "{what}: sanitizer reports");
+        // The scratch is reused across launches too: a second launch on
+        // warm tables must observe the same.
+        let again = sim.launch_checked(cfg, &kernel()).unwrap();
+        assert_eq!(again.outputs, rescan.outputs, "{what}: outputs on warm scratch");
+        assert_eq!(again.stats.per_block, rescan.stats.per_block, "{what}: warm metrics");
+    }
+
+    #[test]
+    fn bucketed_rounds_match_the_rescan_oracle_on_every_corpus() {
+        for params in [CulzssParams::v1(), CulzssParams::v2()] {
+            let config = params.lzss_config();
+            for dataset in culzss_datasets::Dataset::ALL {
+                let input = dataset.generate(6 * 4096 + 123, 2011);
+                let (payload, layout) = chunked(&input, &params);
+                assert_rounds_match_the_rescan_oracle(dataset.slug(), &payload, &layout, &config);
+            }
+        }
+    }
+
+    #[test]
+    fn bucketed_rounds_match_the_rescan_oracle_on_a_deep_run() {
+        let params = CulzssParams::v1();
+        let config = params.lzss_config();
+        // A run of one byte: every match copies from the one before it.
+        let mut input = vec![b'r'; 4096];
+        input.extend_from_slice(&b"ab".repeat(2048));
+        let (payload, layout) = chunked(&input, &params);
+        let tokens = format::decode(&payload[layout[0].0.clone()], &config, 4096).unwrap();
+        let (_, rounds) = producer_map_levels(&tokens, &offset_table(&tokens));
+        assert!(rounds >= 100, "only {rounds} dependency rounds");
+        assert_rounds_match_the_rescan_oracle("run", &payload, &layout, &config);
+    }
+
+    #[test]
+    fn bucketed_rounds_match_the_rescan_oracle_at_chunk_edges() {
+        let params = CulzssParams::v1();
+        let config = params.lzss_config();
+        let data = culzss_datasets::Dataset::ALL[0].generate(4097, 7);
+        for len in [0usize, 1, 4096, 4097] {
+            let (payload, mut layout) = chunked(&data[..len], &params);
+            if layout.is_empty() {
+                // An empty input still launches as one empty chunk.
+                layout.push((0..0, 0));
+            }
+            assert_rounds_match_the_rescan_oracle(&format!("{len} B"), &payload, &layout, &config);
+        }
+        // A chunk whose stated length disagrees with its body: both
+        // kernels must fail it the same way.
+        let (payload, mut layout) = chunked(&data[..4096], &params);
+        layout[0].1 += 5;
+        assert_rounds_match_the_rescan_oracle("bad length", &payload, &layout, &config);
+    }
+
+    #[test]
+    fn binary_search_levels_match_the_producer_map() {
+        let params = CulzssParams::v2();
+        let config = params.lzss_config();
+        let mut levels = Vec::new();
+        for dataset in culzss_datasets::Dataset::ALL {
+            let input = dataset.generate(4 * 4096, 99);
+            for chunk in input.chunks(params.chunk_size) {
+                let tokens = serial::tokenize(chunk, &config);
+                let offsets = offset_table(&tokens);
+                let max_level = fill_levels(&tokens, &offsets, &mut levels);
+                assert_eq!((levels.clone(), max_level), producer_map_levels(&tokens, &offsets));
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! per-warp access lists (exact path) and reused in closed form by the bulk
 //! metering helpers (fast path).
 //!
-//! The exact analytics neither allocate nor hash. A warp instruction is
-//! sorted by address in place; identical lane accesses (a broadcast) then
+//! The exact analytics neither allocate nor hash. An instruction with one
+//! active lane is priced from its span alone. A wider one is sorted by
+//! address in place; identical lane accesses (a broadcast) then
 //! sit next to each other and fold into one span before anything is
 //! expanded, and overlapping spans merge. Coalescing counts the union of
 //! the spans' segments; bank conflicts count the union's distinct words
@@ -31,7 +32,16 @@ impl Access {
     /// Inclusive `[first, last]` range of `unit`-byte blocks the access
     /// touches, or `None` for a zero-byte access.
     fn span(self, unit: u64) -> Option<(u64, u64)> {
-        (self.bytes > 0).then(|| (self.addr / unit, (self.addr + u64::from(self.bytes) - 1) / unit))
+        (self.bytes > 0).then(|| {
+            let last = self.addr + u64::from(self.bytes) - 1;
+            if unit.is_power_of_two() {
+                // Every real segment and bank width: shift, not divide.
+                let shift = unit.trailing_zeros();
+                (self.addr >> shift, last >> shift)
+            } else {
+                (self.addr / unit, last / unit)
+            }
+        })
     }
 }
 
@@ -44,12 +54,21 @@ impl Access {
 /// absent). The slice is sorted by address in place.
 pub fn transactions_for_warp(accesses: &mut [Access], segment_bytes: u64) -> u64 {
     debug_assert!(segment_bytes.is_power_of_two());
+    if let [access] = *accesses {
+        return transactions_for_access(access, segment_bytes);
+    }
     accesses.sort_unstable_by_key(|a| a.addr);
     let mut count = 0;
     for_each_run(accesses.iter().filter_map(|a| a.span(segment_bytes)), |(first, last)| {
         count += last - first + 1;
     });
     count
+}
+
+/// [`transactions_for_warp`] for an instruction with one active lane:
+/// the segments its single access touches, with no sort or merge.
+fn transactions_for_access(access: Access, segment_bytes: u64) -> u64 {
+    access.span(segment_bytes).map_or(0, |(first, last)| last - first + 1)
 }
 
 /// Merges inclusive `[first, last]` spans, sorted by `first`, into
@@ -81,6 +100,9 @@ fn for_each_run(mut spans: impl Iterator<Item = (u64, u64)>, mut f: impl FnMut((
 /// an `n`-way conflict, and `0` when no access touches a byte. The slice
 /// is sorted by address in place.
 pub fn shared_conflict_cycles(accesses: &mut [Access], counts: &mut BankCounts) -> u64 {
+    if let [access] = *accesses {
+        return counts.access_cycles(access);
+    }
     accesses.sort_unstable_by_key(|a| a.addr);
     counts.degree(accesses.iter().filter_map(|a| a.span(4)))
 }
@@ -88,36 +110,74 @@ pub fn shared_conflict_cycles(accesses: &mut [Access], counts: &mut BankCounts) 
 /// Per-bank distinct-word counters: the one bank-conflict routine behind
 /// [`shared_conflict_cycles`] and [`strided_conflict_ways`]. Holds one
 /// fixed count per bank, so a meter keeps a single instance and reuses
-/// it for every warp instruction.
+/// it for every warp instruction. Between instructions every counter is
+/// zero; an instruction resets only the banks it touched. A bank's count
+/// never exceeds the instruction's access count, so `u32` holds it.
 #[derive(Debug, Clone)]
 pub struct BankCounts {
-    words: Vec<u64>,
+    words: Vec<u32>,
+    /// Banks the current instruction counted into (each listed once).
+    touched: Vec<u32>,
 }
 
 impl BankCounts {
     /// Counters for a shared memory of `banks` 4-byte banks.
     pub fn new(banks: usize) -> Self {
         assert!(banks > 0, "shared memory needs at least one bank");
-        Self { words: vec![0; banks] }
+        Self { words: vec![0; banks], touched: Vec::with_capacity(banks) }
+    }
+
+    /// Serialized cycles of an instruction with one active lane: a single
+    /// span of `n` words covers every bank `n / banks` times, plus once
+    /// more for a partial remainder, so no bank needs counting.
+    fn access_cycles(&self, access: Access) -> u64 {
+        let banks = self.words.len() as u64;
+        match access.span(4) {
+            None => 0,
+            Some((first, last)) if last - first < banks => 1,
+            Some((first, last)) => (last - first + 1).div_ceil(banks),
+        }
     }
 
     /// The conflict degree of a set of words: the largest number of
     /// distinct words that map to one bank (0 for no words). `spans` are
     /// inclusive word ranges sorted by their first word.
     fn degree(&mut self, spans: impl Iterator<Item = (u64, u64)>) -> u64 {
-        self.words.fill(0);
-        let banks = self.words.len() as u64;
+        let Self { words, touched } = self;
+        let banks = words.len();
         // A run of n words covers every bank n / banks times; only the
-        // remainder needs per-bank counting.
+        // remainder needs per-bank counting, and its words sit in
+        // consecutive banks from the first word's.
         let mut rounds = 0;
+        let mut deepest = 0;
         for_each_run(spans, |(first, last)| {
-            let n = last - first + 1;
-            rounds += n / banks;
-            for w in first..first + n % banks {
-                self.words[(w % banks) as usize] += 1;
+            let mut n = last - first + 1;
+            if n >= banks as u64 {
+                rounds += n / banks as u64;
+                n %= banks as u64;
+            }
+            let mut bank = if banks.is_power_of_two() {
+                first as usize & (banks - 1)
+            } else {
+                (first % banks as u64) as usize
+            };
+            for _ in 0..n {
+                if words[bank] == 0 {
+                    touched.push(bank as u32);
+                }
+                words[bank] += 1;
+                deepest = deepest.max(words[bank]);
+                bank += 1;
+                if bank == banks {
+                    bank = 0;
+                }
             }
         });
-        rounds + self.words.iter().max().copied().unwrap_or(0)
+        for &bank in touched.iter() {
+            words[bank as usize] = 0;
+        }
+        touched.clear();
+        rounds + u64::from(deepest)
     }
 }
 
@@ -232,10 +292,12 @@ mod tests {
     /// unaligned wide accesses straddling segments and bank words,
     /// zero-byte accesses, partial warps and over-full instructions.
     fn random_instruction(rng: &mut SmallRng) -> Vec<Access> {
-        let lanes = match rng.gen_range(0u32..4) {
+        let lanes = match rng.gen_range(0u32..5) {
             0 => 32,
             1 => rng.gen_range(0usize..32),
             2 => rng.gen_range(33usize..80),
+            // One active lane: the meter's single-lane tail.
+            3 => 1,
             _ => rng.gen_range(1usize..33),
         };
         let base = rng.gen_range(0u64..1 << 16);
@@ -279,6 +341,33 @@ mod tests {
                     oracle_conflicts(&instruction, banks),
                     "case {case}: {banks} banks on {instruction:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn reused_bank_counts_carry_nothing_between_instructions() {
+        // One counter array per bank width prices a long mixed sequence:
+        // wide conflicting instructions, then single words, then
+        // broadcasts. A touched-only reset that missed a bank would leak
+        // counts into the next instruction and overprice it.
+        let mut rng = SmallRng::seed_from_u64(0xba4c_5eed);
+        for banks in [16usize, 32] {
+            let mut reused = BankCounts::new(banks);
+            for case in 0..2_000 {
+                let mut instruction = match case % 3 {
+                    0 => (0..32).map(|t| acc(t * 128 + (case as u64 % 7), 4)).collect(),
+                    1 => vec![acc(rng.gen_range(0u64..1 << 12), rng.gen_range(0u32..9))],
+                    _ => random_instruction(&mut rng),
+                };
+                let oracle = oracle_conflicts(&instruction, banks as u64);
+                assert_eq!(
+                    shared_conflict_cycles(&mut instruction, &mut reused),
+                    oracle,
+                    "case {case}: {banks} banks on {instruction:?}"
+                );
+                assert!(reused.words.iter().all(|&w| w == 0), "case {case}: stale counters");
+                assert!(reused.touched.is_empty());
             }
         }
     }

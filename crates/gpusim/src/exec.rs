@@ -127,19 +127,28 @@ impl BlockCtx {
     /// with a barrier — the analogue of a code region between
     /// `__syncthreads()` calls. Threads that exited earlier are skipped.
     pub fn par_threads<F: FnMut(&mut ThreadCtx)>(&mut self, mut f: F) {
-        for tid in 0..self.block_dim {
-            if self.exited[tid] {
-                continue;
+        self.par_threads_with((0..self.block_dim).map(|tid| (tid, ())), |t, ()| f(t));
+    }
+
+    /// One phase in which only some threads have work: runs `f` once per
+    /// `(tid, item)` of `work`, skipping threads that exited, and ends the
+    /// phase with a barrier. `work` lists its threads in ascending `tid`
+    /// order, each once. Metering, sanitizer and barrier accounting are
+    /// exactly those of [`Self::par_threads`] with a closure that does
+    /// nothing on the unlisted threads, but the host cost follows the
+    /// listed threads rather than the block width.
+    pub fn par_threads_with<T, F: FnMut(&mut ThreadCtx, T)>(
+        &mut self,
+        work: impl IntoIterator<Item = (usize, T)>,
+        mut f: F,
+    ) {
+        let mut after = None;
+        for (tid, item) in work {
+            debug_assert!(after.is_none_or(|prev| prev < tid), "threads must ascend");
+            after = Some(tid);
+            if !self.exited[tid] {
+                f(&mut self.thread(tid), item);
             }
-            let mut ctx = ThreadCtx {
-                tid,
-                block_idx: self.block_idx,
-                block_dim: self.block_dim,
-                grid_dim: self.grid_dim,
-                meter: &mut self.meter,
-                exited: &mut self.exited[tid],
-            };
-            f(&mut ctx);
         }
         self.meter.end_phase_masked(&self.exited);
     }
@@ -148,17 +157,20 @@ impl BlockCtx {
     /// pattern), still ending with a barrier.
     pub fn single_thread<F: FnOnce(&mut ThreadCtx)>(&mut self, f: F) {
         if !self.exited[0] {
-            let mut ctx = ThreadCtx {
-                tid: 0,
-                block_idx: self.block_idx,
-                block_dim: self.block_dim,
-                grid_dim: self.grid_dim,
-                meter: &mut self.meter,
-                exited: &mut self.exited[0],
-            };
-            f(&mut ctx);
+            f(&mut self.thread(0));
         }
         self.meter.end_phase_masked(&self.exited);
+    }
+
+    fn thread(&mut self, tid: usize) -> ThreadCtx<'_> {
+        ThreadCtx {
+            tid,
+            block_idx: self.block_idx,
+            block_dim: self.block_dim,
+            grid_dim: self.grid_dim,
+            meter: &mut self.meter,
+            exited: &mut self.exited[tid],
+        }
     }
 }
 
@@ -178,32 +190,38 @@ pub struct ThreadCtx<'a> {
 
 impl ThreadCtx<'_> {
     /// Global thread id (`blockIdx.x * blockDim.x + threadIdx.x`).
+    #[inline]
     pub fn global_tid(&self) -> usize {
         self.block_idx * self.block_dim + self.tid
     }
 
     /// Charges `n` arithmetic/control operations.
+    #[inline]
     pub fn charge_ops(&mut self, n: u64) {
         self.meter.charge_ops(self.tid, n);
     }
 
     /// Logs an exact global-memory read of `bytes` at `addr`.
+    #[inline]
     pub fn global_read(&mut self, addr: u64, bytes: u32) {
         self.meter.log_global(self.tid, addr, bytes);
     }
 
     /// Logs an exact global-memory write of `bytes` at `addr`.
+    #[inline]
     pub fn global_write(&mut self, addr: u64, bytes: u32) {
         self.meter.log_global(self.tid, addr, bytes);
     }
 
     /// Logs an exact shared-memory read of `bytes` at `addr` (addresses
     /// are relative to the block's shared arena).
+    #[inline]
     pub fn shared_read(&mut self, addr: u64, bytes: u32) {
         self.meter.log_shared(self.tid, AccessKind::Read, addr, bytes);
     }
 
     /// Logs an exact shared-memory write.
+    #[inline]
     pub fn shared_write(&mut self, addr: u64, bytes: u32) {
         self.meter.log_shared(self.tid, AccessKind::Write, addr, bytes);
     }
@@ -219,17 +237,20 @@ impl ThreadCtx<'_> {
     /// Bulk shared-memory accounting for hot loops: this thread performed
     /// `accesses` accesses in a pattern with warp-wide conflict degree
     /// `conflict_ways` (see [`crate::coalesce::strided_conflict_ways`]).
+    #[inline]
     pub fn shared_bulk(&mut self, accesses: u64, conflict_ways: u64) {
         self.meter.shared_bulk(self.tid, accesses, conflict_ways);
     }
 
     /// Bulk global-memory accounting: this thread moved `bytes` bytes in
     /// accesses of `access_width` bytes, warp-`coalesced` or not.
+    #[inline]
     pub fn global_bulk(&mut self, bytes: u64, access_width: u64, coalesced: bool) {
         self.meter.global_bulk(self.tid, bytes, access_width, coalesced);
     }
 
     /// Bulk accounting for L1-cached global accesses.
+    #[inline]
     pub fn global_cached_bulk(&mut self, accesses: u64) {
         self.meter.global_cached_bulk(self.tid, accesses);
     }

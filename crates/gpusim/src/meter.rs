@@ -24,6 +24,11 @@
 //! every warp instruction is gathered into one reused scratch buffer,
 //! visiting only the lanes that still hold accesses, and priced in place
 //! by [`crate::coalesce`] with a single per-bank counter array.
+//!
+//! A barrier costs the accesses it prices, not the block's width: warps
+//! whose lanes did nothing this phase are skipped, and once a single lane
+//! of a warp still holds accesses (a lone copy loop, say) each remaining
+//! instruction is that one access, priced directly without a gather.
 
 use crate::coalesce::{shared_conflict_cycles, transactions_for_warp, Access, BankCounts};
 use crate::sanitizer::{AccessKind, BlockSanitizerReport, SanitizerState};
@@ -138,12 +143,14 @@ impl BlockMeter {
     }
 
     /// Records `n` arithmetic/control ops for thread `tid`.
+    #[inline]
     pub fn charge_ops(&mut self, tid: usize, n: u64) {
         self.phase_ops[tid] += n;
         self.metrics.thread_ops += n;
     }
 
     /// Logs an exact global access for thread `tid`.
+    #[inline]
     pub fn log_global(&mut self, tid: usize, addr: u64, bytes: u32) {
         self.phase_global[tid].push(Access { addr, bytes });
         self.metrics.global_bytes += u64::from(bytes);
@@ -154,6 +161,7 @@ impl BlockMeter {
     /// Logs an exact shared access for thread `tid`. The read/write
     /// `kind` feeds the sanitizer (when armed); metering itself is
     /// direction-agnostic.
+    #[inline]
     pub fn log_shared(&mut self, tid: usize, kind: AccessKind, addr: u64, bytes: u32) {
         self.phase_shared[tid].push(Access { addr, bytes });
         self.metrics.shared_accesses += 1;
@@ -166,6 +174,7 @@ impl BlockMeter {
     /// Bulk shared-memory accounting: thread `tid` performed `accesses`
     /// shared accesses in a pattern whose warp-wide conflict degree is
     /// `conflict_ways` (1 = conflict-free, `warp_size` = fully serialized).
+    #[inline]
     pub fn shared_bulk(&mut self, tid: usize, accesses: u64, conflict_ways: u64) {
         self.metrics.shared_accesses += accesses;
         // One warp instruction serves warp_size thread-accesses and costs
@@ -179,6 +188,7 @@ impl BlockMeter {
     /// accesses of `access_width` bytes. When `coalesced`, the warp's
     /// lanes form contiguous spans (cost: bytes / transaction size);
     /// otherwise every access pays a full transaction.
+    #[inline]
     pub fn global_bulk(&mut self, tid: usize, bytes: u64, access_width: u64, coalesced: bool) {
         debug_assert!(access_width > 0);
         self.metrics.global_bytes += bytes;
@@ -194,6 +204,7 @@ impl BlockMeter {
     /// Bulk accounting for global accesses that hit the L1 cache (small
     /// hot per-thread footprints, e.g. V1's window buffers when *not*
     /// placed in shared memory).
+    #[inline]
     pub fn global_cached_bulk(&mut self, tid: usize, accesses: u64) {
         self.metrics.cached_accesses += accesses;
         self.charge_ops(tid, accesses);
@@ -221,33 +232,42 @@ impl BlockMeter {
             san.end_phase(exited, real_barrier);
         }
         self.metrics.barriers += 1;
-        // Warp-serialized issue: each warp is as slow as its busiest lane.
-        for warp in self.phase_ops.chunks(self.warp_size) {
-            self.metrics.warp_issue_ops += *warp.iter().max().unwrap_or(&0) as f64;
-        }
-        self.phase_ops.fill(0);
-
-        // Coalescing: the k-th logged access of each lane forms one
-        // warp-wide memory instruction.
         let warps = self.block_dim.div_ceil(self.warp_size);
         let segment_bytes = self.transaction_bytes;
+        // The float sums live in locals while instructions are priced, so
+        // they stay in registers; the additions and their order are those
+        // of adding into the metrics directly.
+        let mut transactions = self.metrics.global_transactions;
+        let mut cycles = self.metrics.shared_cycles;
         for w in 0..warps {
             let lanes = w * self.warp_size..((w + 1) * self.warp_size).min(self.block_dim);
-            self.scratch.for_each(&self.phase_global[lanes.clone()], |instruction| {
-                self.metrics.global_transactions +=
-                    transactions_for_warp(instruction, segment_bytes) as f64;
+            let ops = &mut self.phase_ops[lanes.clone()];
+            // Warp-serialized issue: each warp is as slow as its busiest
+            // lane.
+            let busiest = ops.iter().copied().max().unwrap_or(0);
+            self.metrics.warp_issue_ops += busiest as f64;
+            // Every logged access charges its lane an op, so a warp with
+            // no ops has no logs to price or clear.
+            if busiest == 0 {
+                continue;
+            }
+            ops.fill(0);
+
+            // Coalescing: the k-th logged access of each lane forms one
+            // warp-wide memory instruction.
+            let global = &mut self.phase_global[lanes.clone()];
+            self.scratch.for_each(global, |instruction| {
+                transactions += transactions_for_warp(instruction, segment_bytes) as f64;
             });
-            self.scratch.for_each(&self.phase_shared[lanes], |instruction| {
-                self.metrics.shared_cycles +=
-                    shared_conflict_cycles(instruction, &mut self.bank_counts) as f64;
+            global.iter_mut().for_each(Vec::clear);
+            let shared = &mut self.phase_shared[lanes];
+            self.scratch.for_each(shared, |instruction| {
+                cycles += shared_conflict_cycles(instruction, &mut self.bank_counts) as f64;
             });
+            shared.iter_mut().for_each(Vec::clear);
         }
-        for v in &mut self.phase_global {
-            v.clear();
-        }
-        for v in &mut self.phase_shared {
-            v.clear();
-        }
+        self.metrics.global_transactions = transactions;
+        self.metrics.shared_cycles = cycles;
     }
 
     /// Finalizes the meter (flushing any un-barriered phase) and returns
@@ -296,16 +316,23 @@ impl InstructionScratch {
     /// logged more than `k` (lanes with fewer accesses sit it out). Only
     /// lanes still holding accesses are visited, so a phase where one lane
     /// logs a long run costs that run, not the run times the warp width.
+    /// Once one lane is left, its remaining accesses are single-access
+    /// instructions and go to `price` one by one, with no gather.
     fn for_each(&mut self, logs: &[Vec<Access>], mut price: impl FnMut(&mut [Access])) {
         self.lanes.clear();
         self.lanes.extend((0..logs.len()).filter(|&lane| !logs[lane].is_empty()));
         let mut k = 0;
-        while !self.lanes.is_empty() {
+        while self.lanes.len() > 1 {
             self.accesses.clear();
             self.accesses.extend(self.lanes.iter().map(|&lane| logs[lane][k]));
             price(&mut self.accesses);
             k += 1;
             self.lanes.retain(|&lane| logs[lane].len() > k);
+        }
+        if let [lane] = self.lanes[..] {
+            for &access in &logs[lane][k..] {
+                price(&mut [access]);
+            }
         }
     }
 }
@@ -461,6 +488,64 @@ mod tests {
         }
         m.end_phase();
         assert_eq!(m.finish().divergence_factor(32), 1.0);
+    }
+
+    #[test]
+    fn single_lane_tail_prices_like_the_gathered_path() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = SmallRng::seed_from_u64(0x7a11_1a4e);
+        for banks in [16usize, 32] {
+            for case in 0..50 {
+                // Most lanes log a short run; one lane per warp logs a
+                // long one, so every warp ends in a single-lane tail.
+                let logs: Vec<Vec<Access>> = (0..64)
+                    .map(|lane| {
+                        let len = if lane % 32 == case % 32 {
+                            rng.gen_range(20..60)
+                        } else {
+                            rng.gen_range(0..4)
+                        };
+                        (0..len)
+                            .map(|_| Access {
+                                addr: rng.gen_range(0u64..4096),
+                                bytes: [0u32, 1, 2, 4, 8, 130][rng.gen_range(0usize..6)],
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let mut m = BlockMeter::new(64, 32, 128, banks);
+                for (lane, log) in logs.iter().enumerate() {
+                    for a in log {
+                        m.log_global(lane, a.addr, a.bytes);
+                        m.log_shared(lane, AccessKind::Read, a.addr, a.bytes);
+                    }
+                }
+                m.end_phase();
+                let metered = m.finish();
+
+                // Gather every instruction; price a lone access as the
+                // broadcast pair [a, a], which the general sort, merge and
+                // bank-count path folds back into one access.
+                let mut counts = BankCounts::new(banks);
+                let (mut transactions, mut cycles) = (0.0, 0.0);
+                for warp in logs.chunks(32) {
+                    let depth = warp.iter().map(Vec::len).max().unwrap_or(0);
+                    for k in 0..depth {
+                        let mut instruction: Vec<Access> =
+                            warp.iter().filter_map(|log| log.get(k).copied()).collect();
+                        if let [access] = instruction[..] {
+                            instruction.push(access);
+                        }
+                        transactions += transactions_for_warp(&mut instruction, 128) as f64;
+                        cycles += shared_conflict_cycles(&mut instruction, &mut counts) as f64;
+                    }
+                }
+                assert_eq!(metered.global_transactions, transactions, "case {case}");
+                assert_eq!(metered.shared_cycles, cycles, "case {case}");
+            }
+        }
     }
 
     #[test]

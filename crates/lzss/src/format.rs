@@ -75,11 +75,27 @@ pub fn encode_into(tokens: &[Token], config: &LzssConfig, out: &mut Vec<u8>) -> 
 
 /// Decodes tokens until exactly `uncompressed_len` bytes are covered.
 pub fn decode(bytes: &[u8], config: &LzssConfig, uncompressed_len: usize) -> Result<Vec<Token>> {
+    let mut tokens = Vec::new();
+    decode_into(bytes, config, uncompressed_len, &mut tokens)?;
+    Ok(tokens)
+}
+
+/// [`decode`] into a caller-owned buffer: `tokens` is cleared, then
+/// filled, so a decoder that handles many chunks reuses its capacity.
+/// Errors are the same as [`decode`]'s; on error `tokens` holds the
+/// tokens decoded before the fault.
+pub fn decode_into(
+    bytes: &[u8],
+    config: &LzssConfig,
+    uncompressed_len: usize,
+    tokens: &mut Vec<Token>,
+) -> Result<()> {
+    tokens.clear();
     match config.format {
         TokenFormat::FlagBit { offset_bits, length_bits } => {
-            decode_flagbit(bytes, config, uncompressed_len, offset_bits, length_bits)
+            decode_flagbit(bytes, config, uncompressed_len, offset_bits, length_bits, tokens)
         }
-        TokenFormat::Fixed16 => decode_fixed16(bytes, config, uncompressed_len),
+        TokenFormat::Fixed16 => decode_fixed16(bytes, config, uncompressed_len, tokens),
     }
 }
 
@@ -134,9 +150,9 @@ fn decode_flagbit(
     uncompressed_len: usize,
     offset_bits: u8,
     length_bits: u8,
-) -> Result<Vec<Token>> {
+    tokens: &mut Vec<Token>,
+) -> Result<()> {
     let mut r = BitReader::new(bytes);
-    let mut tokens = Vec::new();
     let mut covered = 0usize;
     while covered < uncompressed_len {
         let is_match = r.read_bit("token flag")?;
@@ -156,7 +172,7 @@ fn decode_flagbit(
     if covered != uncompressed_len {
         return Err(Error::SizeMismatch { expected: uncompressed_len, actual: covered });
     }
-    Ok(tokens)
+    Ok(())
 }
 
 fn encode_fixed16_into(tokens: &[Token], config: &LzssConfig, out: &mut Vec<u8>) {
@@ -189,8 +205,8 @@ fn decode_fixed16(
     bytes: &[u8],
     config: &LzssConfig,
     uncompressed_len: usize,
-) -> Result<Vec<Token>> {
-    let mut tokens = Vec::new();
+    tokens: &mut Vec<Token>,
+) -> Result<()> {
     let mut covered = 0usize;
     let mut pos = 0usize;
     'groups: while covered < uncompressed_len {
@@ -223,7 +239,7 @@ fn decode_fixed16(
     if covered != uncompressed_len {
         return Err(Error::SizeMismatch { expected: uncompressed_len, actual: covered });
     }
-    Ok(tokens)
+    Ok(())
 }
 
 #[cfg(test)]

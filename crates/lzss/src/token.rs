@@ -65,6 +65,15 @@ impl Token {
 /// pair must agree with `expand` composed with the tokenizer.
 pub fn expand(tokens: &[Token], config: &LzssConfig) -> Result<Vec<u8>> {
     let mut out = Vec::with_capacity(tokens.len() * 2);
+    expand_into(tokens, config, &mut out)?;
+    Ok(out)
+}
+
+/// [`expand`] into a caller-owned buffer: `out` is cleared, then filled,
+/// so a caller that knows the decoded length can size it exactly. Errors
+/// are the same as [`expand`]'s.
+pub fn expand_into(tokens: &[Token], config: &LzssConfig, out: &mut Vec<u8>) -> Result<()> {
+    out.clear();
     for token in tokens {
         token.validate(config, out.len())?;
         match *token {
@@ -78,7 +87,7 @@ pub fn expand(tokens: &[Token], config: &LzssConfig) -> Result<Vec<u8>> {
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Summary statistics over a token sequence.
