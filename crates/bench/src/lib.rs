@@ -71,17 +71,24 @@ impl Default for MeasureCfg {
             .and_then(|v| v.parse::<usize>().ok())
             .unwrap_or(1)
             .max(1);
-        let finder = match std::env::var("CULZSS_FINDER").as_deref() {
-            Ok("hash") => FinderKind::HashChain,
-            Ok("kmp") => FinderKind::Kmp,
-            Ok("tree") => FinderKind::Tree,
-            _ => FinderKind::BruteForce,
-        };
+        let finder = finder_from_env(std::env::var_os("CULZSS_FINDER"));
         let bwt = match std::env::var("CULZSS_BWT").as_deref() {
             Ok("sais") => culzss_bzip2::bwt::Backend::SaIs,
             _ => culzss_bzip2::bwt::Backend::Doubling,
         };
         Self { bytes: mb << 20, seed: 0xC0DE_2011, reps, finder, bwt }
+    }
+}
+
+/// Reads `CULZSS_FINDER`: unset or `brute` is brute force, `hash` the
+/// hash chain. Any other value panics naming it, instead of silently
+/// measuring brute force.
+fn finder_from_env(value: Option<std::ffi::OsString>) -> FinderKind {
+    match value {
+        None => FinderKind::BruteForce,
+        Some(v) if v == "brute" => FinderKind::BruteForce,
+        Some(v) if v == "hash" => FinderKind::HashChain,
+        Some(v) => panic!("CULZSS_FINDER={v:?} is not a finder; use brute or hash"),
     }
 }
 
@@ -356,6 +363,25 @@ mod tests {
         assert_eq!(fig.pthread, 5.0);
         assert_eq!(fig.bzip2, 2.5);
         assert!((fig.v2 - 12.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn finder_env_accepts_the_documented_values() {
+        assert_eq!(finder_from_env(None), FinderKind::BruteForce);
+        assert_eq!(finder_from_env(Some("brute".into())), FinderKind::BruteForce);
+        assert_eq!(finder_from_env(Some("hash".into())), FinderKind::HashChain);
+    }
+
+    #[test]
+    #[should_panic(expected = "CULZSS_FINDER=\"kmp\" is not a finder")]
+    fn finder_env_rejects_a_removed_finder() {
+        finder_from_env(Some("kmp".into()));
+    }
+
+    #[test]
+    #[should_panic(expected = "CULZSS_FINDER=\"hahs\" is not a finder")]
+    fn finder_env_rejects_a_typo() {
+        finder_from_env(Some("hahs".into()));
     }
 
     #[test]

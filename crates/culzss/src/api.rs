@@ -20,6 +20,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use culzss_gpusim::streams::StageTimes;
 use culzss_gpusim::transfer::{Direction, TransferLedger};
 use culzss_gpusim::{DeviceFaultModel, DeviceSpec, GpuSim};
 use culzss_lzss::container::{assemble_with, stream_crc_of, Container};
@@ -75,7 +76,7 @@ impl PipelineStats {
     /// Total modelled pipeline time: transfers + kernel + CPU steps, run
     /// back-to-back (the paper's non-overlapped configuration).
     pub fn modeled_total_seconds(&self) -> f64 {
-        self.h2d_seconds + self.kernel_seconds + self.d2h_seconds + self.cpu_seconds
+        StageTimes::from(self).sequential_seconds()
     }
 
     /// Compression ratio of this call (output/input; only meaningful for
@@ -85,6 +86,17 @@ impl PipelineStats {
             1.0
         } else {
             self.output_bytes as f64 / self.input_bytes as f64
+        }
+    }
+}
+
+impl From<&PipelineStats> for StageTimes {
+    fn from(stats: &PipelineStats) -> Self {
+        StageTimes {
+            h2d: stats.h2d_seconds,
+            kernel: stats.kernel_seconds,
+            d2h: stats.d2h_seconds,
+            cpu: stats.cpu_seconds,
         }
     }
 }

@@ -6,11 +6,13 @@
 //! pipelining fashion"). This module models that pipeline: the input is
 //! processed as a sequence of slices, each flowing through H2D → kernel →
 //! D2H → CPU stages, with different slices occupying different stages
-//! simultaneously.
+//! simultaneously. The schedule itself is
+//! [`culzss_gpusim::streams::StageTimes::pipelined_seconds`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
+use culzss_gpusim::streams::{overlap_speedup, StageTimes};
 use culzss_lzss::token::Token;
 
 use crate::api::PipelineStats;
@@ -156,45 +158,6 @@ impl BufferPool {
     }
 }
 
-/// Per-slice stage durations of a pipelined run.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct StageTimes {
-    /// Host→device copy.
-    pub h2d: f64,
-    /// Kernel execution.
-    pub kernel: f64,
-    /// Device→host copy.
-    pub d2h: f64,
-    /// CPU post-processing.
-    pub cpu: f64,
-}
-
-/// Makespan of a 4-stage pipeline over `slices` equal slices whose total
-/// stage durations are given by `total`. Classic pipeline scheduling: a
-/// slice enters a stage as soon as (a) the previous slice left that stage
-/// and (b) the slice itself left the previous stage.
-pub fn pipelined_makespan(total: StageTimes, slices: usize) -> f64 {
-    assert!(slices >= 1);
-    let per = StageTimes {
-        h2d: total.h2d / slices as f64,
-        kernel: total.kernel / slices as f64,
-        d2h: total.d2h / slices as f64,
-        cpu: total.cpu / slices as f64,
-    };
-    let stages = [per.h2d, per.kernel, per.d2h, per.cpu];
-    // finish[s] = completion time of the current slice in stage s.
-    let mut finish = [0.0f64; 4];
-    for _ in 0..slices {
-        let mut ready = 0.0f64; // when this slice leaves the previous stage
-        for (s, &dur) in stages.iter().enumerate() {
-            let start = ready.max(finish[s]);
-            finish[s] = start + dur;
-            ready = finish[s];
-        }
-    }
-    finish[3]
-}
-
 /// Overlap summary for one measured pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlapReport {
@@ -202,7 +165,7 @@ pub struct OverlapReport {
     pub sequential_seconds: f64,
     /// Pipelined makespan.
     pub pipelined_seconds: f64,
-    /// `sequential / pipelined`.
+    /// `sequential / pipelined` ([`overlap_speedup`]: 1.0 when nothing ran).
     pub speedup: f64,
     /// Slice count used.
     pub slices: usize,
@@ -211,18 +174,13 @@ pub struct OverlapReport {
 /// Computes the overlap opportunity for a compression run's stats using
 /// `slices` pipeline slices.
 pub fn overlap(stats: &PipelineStats, slices: usize) -> OverlapReport {
-    let total = StageTimes {
-        h2d: stats.h2d_seconds,
-        kernel: stats.kernel_seconds,
-        d2h: stats.d2h_seconds,
-        cpu: stats.cpu_seconds,
-    };
-    let sequential = stats.modeled_total_seconds();
-    let pipelined = pipelined_makespan(total, slices);
+    let stages = StageTimes::from(stats);
+    let sequential = stages.sequential_seconds();
+    let pipelined = stages.pipelined_seconds(slices);
     OverlapReport {
         sequential_seconds: sequential,
         pipelined_seconds: pipelined,
-        speedup: sequential / pipelined.max(f64::MIN_POSITIVE),
+        speedup: overlap_speedup(sequential, pipelined),
         slices,
     }
 }
@@ -230,41 +188,6 @@ pub fn overlap(stats: &PipelineStats, slices: usize) -> OverlapReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const T: StageTimes = StageTimes { h2d: 1.0, kernel: 4.0, d2h: 1.0, cpu: 4.0 };
-
-    #[test]
-    fn one_slice_equals_sequential() {
-        let m = pipelined_makespan(T, 1);
-        assert!((m - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn many_slices_approach_the_bottleneck() {
-        // With many slices, time → max-stage total + ramp-up ≈ 4.0.
-        let m = pipelined_makespan(T, 1000);
-        assert!(m < 4.2, "{m}");
-        assert!(m >= 4.0 - 1e-9);
-    }
-
-    #[test]
-    fn monotone_in_slices() {
-        let mut last = f64::INFINITY;
-        for slices in [1, 2, 4, 8, 64] {
-            let m = pipelined_makespan(T, slices);
-            assert!(m <= last + 1e-12, "slices {slices}: {m} > {last}");
-            last = m;
-        }
-    }
-
-    #[test]
-    fn balanced_kernel_and_cpu_overlap_well() {
-        // The paper's V2 argument: when kernel and CPU-selection times
-        // are comparable, overlap nearly halves the total.
-        let m = pipelined_makespan(T, 64);
-        let sequential = 10.0;
-        assert!(sequential / m > 2.0, "{m}");
-    }
 
     #[test]
     fn buffer_pool_recycles_capacity() {

@@ -10,10 +10,9 @@
 
 use std::io::{Read, Write};
 
-use crate::api::{Culzss, PipelineStats};
+use crate::api::Culzss;
 use crate::error::{CulzssError, CulzssResult};
-use crate::pipeline::{pipelined_makespan, StageTimes};
-use culzss_gpusim::streams::{Engine, StreamSim};
+use culzss_gpusim::streams::{overlap_speedup, BatchTimeline};
 
 /// Magic prefix of a streamed sequence of containers (`"CLZS"`).
 pub const STREAM_MAGIC: [u8; 4] = *b"CLZS";
@@ -46,92 +45,7 @@ pub struct StreamReport {
 impl StreamReport {
     /// Overlap speedup achieved by streaming.
     pub fn overlap_speedup(&self) -> f64 {
-        if self.pipelined_seconds <= 0.0 {
-            1.0
-        } else {
-            self.sequential_seconds / self.pipelined_seconds
-        }
-    }
-}
-
-/// Accumulator for the per-batch stage times of a multi-launch run, and
-/// the scheduling models over them. This is the batching core of
-/// [`StreamingCompressor`], exposed so other multiplexers (notably the
-/// `culzss-server` batch scheduler) can report sequential vs. pipelined
-/// makespans for the launches they coalesce.
-#[derive(Debug, Clone, Default)]
-pub struct BatchTimeline {
-    per_batch: Vec<StageTimes>,
-    totals: StageTimes,
-}
-
-impl BatchTimeline {
-    /// An empty timeline.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one batch from a pipeline stats breakdown.
-    pub fn push(&mut self, stats: &PipelineStats) {
-        self.push_stages(StageTimes {
-            h2d: stats.h2d_seconds,
-            kernel: stats.kernel_seconds,
-            d2h: stats.d2h_seconds,
-            cpu: stats.cpu_seconds,
-        });
-    }
-
-    /// Records one batch from raw stage durations.
-    pub fn push_stages(&mut self, stages: StageTimes) {
-        self.totals.h2d += stages.h2d;
-        self.totals.kernel += stages.kernel;
-        self.totals.d2h += stages.d2h;
-        self.totals.cpu += stages.cpu;
-        self.per_batch.push(stages);
-    }
-
-    /// Number of batches recorded.
-    pub fn batches(&self) -> usize {
-        self.per_batch.len()
-    }
-
-    /// Σ of the per-batch sequential (back-to-back) totals.
-    pub fn sequential_seconds(&self) -> f64 {
-        self.totals.h2d + self.totals.kernel + self.totals.d2h + self.totals.cpu
-    }
-
-    /// Makespan of the ideal 4-stage pipeline over the recorded batches.
-    pub fn pipelined_seconds(&self) -> f64 {
-        if self.per_batch.is_empty() {
-            0.0
-        } else {
-            pipelined_makespan(self.totals, self.per_batch.len())
-        }
-    }
-
-    /// Makespan under the Fermi stream model with depth-first issue (the
-    /// head-of-line-blocked schedule a naive port gets).
-    pub fn fermi_depth_first_seconds(&self) -> f64 {
-        let mut sim = StreamSim::new();
-        for (i, b) in self.per_batch.iter().enumerate() {
-            sim.enqueue_batch(i, b.h2d, b.kernel, b.d2h, b.cpu);
-        }
-        sim.run().makespan
-    }
-
-    /// Makespan under the Fermi stream model with breadth-first issue
-    /// (the era-correct submission order).
-    pub fn fermi_breadth_first_seconds(&self) -> f64 {
-        let mut sim = StreamSim::new();
-        for (stage, pick) in
-            [(Engine::Copy, 0usize), (Engine::Compute, 1), (Engine::Copy, 2), (Engine::Host, 3)]
-        {
-            for (i, b) in self.per_batch.iter().enumerate() {
-                let dur = [b.h2d, b.kernel, b.d2h, b.cpu][pick];
-                sim.enqueue(i, stage, dur);
-            }
-        }
-        sim.run().makespan
+        overlap_speedup(self.sequential_seconds, self.pipelined_seconds)
     }
 }
 

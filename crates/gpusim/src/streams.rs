@@ -7,20 +7,27 @@
 //!
 //! * operations within one stream execute in order;
 //! * the device has one *copy engine* (H2D and D2H serialize with each
-//!   other) and one *compute engine* (kernels from different streams
-//!   serialize, but overlap with copies);
+//!   other; the dual-copy-engine Teslas add [`Engine::SecondCopy`]) and
+//!   one *compute engine* (kernels from different streams serialize, but
+//!   overlap with copies);
 //! * host callbacks run on the host, overlapping everything else.
 //!
 //! [`StreamSim::run`] resolves the schedule with a simple discrete-event
 //! sweep in submission order and returns per-op intervals plus the
-//! makespan — the number the batched compressor uses to report overlap
-//! gains.
+//! makespan. It is the only makespan loop in the workspace: the ideal
+//! CPU/GPU pipeline of paper §V ([`StageTimes::pipelined_seconds`]) and
+//! the per-batch overlap accounting of the streaming compressor and the
+//! service ([`BatchTimeline`]) are schedules built on it.
 
 /// Resource class of an operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// PCIe copy engine (shared by H2D and D2H on Fermi).
     Copy,
+    /// A second copy engine, as on the dual-copy-engine Fermi Teslas:
+    /// its ops overlap those on [`Engine::Copy`]. The ideal pipeline puts
+    /// D2H here so that every stage has a lane of its own.
+    SecondCopy,
     /// Kernel execution engine.
     Compute,
     /// Host CPU (post-processing steps).
@@ -89,6 +96,7 @@ impl StreamSim {
     /// Resolves the schedule.
     pub fn run(&self) -> Schedule {
         let mut copy_free = 0.0f64;
+        let mut second_copy_free = 0.0f64;
         let mut compute_free = 0.0f64;
         // Host ops overlap each other (multicore host assumption is NOT
         // made: serialize host ops too, matching a single post-processing
@@ -101,6 +109,7 @@ impl StreamSim {
         for &op in &self.ops {
             let engine_free = match op.engine {
                 Engine::Copy => &mut copy_free,
+                Engine::SecondCopy => &mut second_copy_free,
                 Engine::Compute => &mut compute_free,
                 Engine::Host => &mut host_free,
             };
@@ -132,9 +141,133 @@ impl Schedule {
     }
 }
 
+/// `sequential / pipelined`: the overlap speedup of a schedule, and 1.0
+/// when the pipelined makespan is zero (nothing ran, so nothing overlapped).
+pub fn overlap_speedup(sequential: f64, pipelined: f64) -> f64 {
+    if pipelined <= 0.0 {
+        1.0
+    } else {
+        sequential / pipelined
+    }
+}
+
+/// Stage durations, in seconds, of one pass through the 4-stage pipeline
+/// H2D → kernel → D2H → host post-processing.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct StageTimes {
+    /// Host→device copy.
+    pub h2d: f64,
+    /// Kernel execution.
+    pub kernel: f64,
+    /// Device→host copy.
+    pub d2h: f64,
+    /// CPU post-processing.
+    pub cpu: f64,
+}
+
+impl StageTimes {
+    /// The stages run back to back.
+    pub fn sequential_seconds(&self) -> f64 {
+        self.h2d + self.kernel + self.d2h + self.cpu
+    }
+
+    /// Makespan of the ideal pipeline over `slices` equal slices of these
+    /// totals: each stage gets its own engine (D2H on
+    /// [`Engine::SecondCopy`]) and each slice its own stream, issued
+    /// depth-first. A slice enters a stage as soon as the previous slice
+    /// left that stage and the slice itself left the previous stage.
+    pub fn pipelined_seconds(&self, slices: usize) -> f64 {
+        assert!(slices >= 1);
+        let n = slices as f64;
+        let mut sim = StreamSim::new();
+        for stream in 0..slices {
+            sim.enqueue(stream, Engine::Copy, self.h2d / n);
+            sim.enqueue(stream, Engine::Compute, self.kernel / n);
+            sim.enqueue(stream, Engine::SecondCopy, self.d2h / n);
+            sim.enqueue(stream, Engine::Host, self.cpu / n);
+        }
+        sim.run().makespan
+    }
+}
+
+/// Accumulator for the per-batch stage times of a multi-launch run, and
+/// the scheduling models over them. The streaming compressor and the
+/// service's batch scheduler both report sequential vs. pipelined
+/// makespans for the launches they issue through it.
+#[derive(Debug, Clone, Default)]
+pub struct BatchTimeline {
+    per_batch: Vec<StageTimes>,
+    totals: StageTimes,
+}
+
+impl BatchTimeline {
+    /// An empty timeline.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records one batch: raw stage durations, or anything that converts
+    /// into them (e.g. a compression call's pipeline stats).
+    pub fn push(&mut self, stages: impl Into<StageTimes>) {
+        let stages = stages.into();
+        self.totals.h2d += stages.h2d;
+        self.totals.kernel += stages.kernel;
+        self.totals.d2h += stages.d2h;
+        self.totals.cpu += stages.cpu;
+        self.per_batch.push(stages);
+    }
+
+    /// Number of batches recorded.
+    pub fn batches(&self) -> usize {
+        self.per_batch.len()
+    }
+
+    /// Σ of the per-batch sequential (back-to-back) totals.
+    pub fn sequential_seconds(&self) -> f64 {
+        self.totals.sequential_seconds()
+    }
+
+    /// Makespan of the ideal 4-stage pipeline over as many equal slices
+    /// of the recorded totals as there are batches.
+    pub fn pipelined_seconds(&self) -> f64 {
+        if self.per_batch.is_empty() {
+            0.0
+        } else {
+            self.totals.pipelined_seconds(self.per_batch.len())
+        }
+    }
+
+    /// Makespan under the Fermi stream model with depth-first issue (the
+    /// head-of-line-blocked schedule a naive port gets).
+    pub fn fermi_depth_first_seconds(&self) -> f64 {
+        let mut sim = StreamSim::new();
+        for (i, b) in self.per_batch.iter().enumerate() {
+            sim.enqueue_batch(i, b.h2d, b.kernel, b.d2h, b.cpu);
+        }
+        sim.run().makespan
+    }
+
+    /// Makespan under the Fermi stream model with breadth-first issue
+    /// (the era-correct submission order).
+    pub fn fermi_breadth_first_seconds(&self) -> f64 {
+        let mut sim = StreamSim::new();
+        for (stage, pick) in
+            [(Engine::Copy, 0usize), (Engine::Compute, 1), (Engine::Copy, 2), (Engine::Host, 3)]
+        {
+            for (i, b) in self.per_batch.iter().enumerate() {
+                let dur = [b.h2d, b.kernel, b.d2h, b.cpu][pick];
+                sim.enqueue(i, stage, dur);
+            }
+        }
+        sim.run().makespan
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn single_stream_is_sequential() {
@@ -241,23 +374,169 @@ mod tests {
         assert!(s.ops.is_empty());
     }
 
-    #[test]
-    fn matches_pipeline_module_on_the_four_stage_shape() {
-        // Cross-check against culzss's analytic pipeline: S slices of a
-        // 4-stage pipeline scheduled here must equal the analytic
-        // makespan when host is its own engine and the two copy stages
-        // share one (the analytic model gives each stage its own lane, so
-        // it can only be ≤ the stream model with a shared copy engine).
-        let (h2d, k, d2h, host) = (0.2, 1.0, 0.2, 0.8);
-        let slices = 16;
-        let mut sim = StreamSim::new();
-        for s in 0..slices {
-            sim.enqueue_batch(s, h2d, k, d2h, host);
+    /// A fixed-array sweep of the ideal pipeline: the oracle that
+    /// [`StageTimes::pipelined_seconds`] must reproduce bit for bit.
+    fn reference_pipelined_makespan(total: StageTimes, slices: usize) -> f64 {
+        assert!(slices >= 1);
+        let per = StageTimes {
+            h2d: total.h2d / slices as f64,
+            kernel: total.kernel / slices as f64,
+            d2h: total.d2h / slices as f64,
+            cpu: total.cpu / slices as f64,
+        };
+        let stages = [per.h2d, per.kernel, per.d2h, per.cpu];
+        // finish[s] = completion time of the current slice in stage s.
+        let mut finish = [0.0f64; 4];
+        for _ in 0..slices {
+            let mut ready = 0.0f64; // when this slice leaves the previous stage
+            for (s, &dur) in stages.iter().enumerate() {
+                let start = ready.max(finish[s]);
+                finish[s] = start + dur;
+                ready = finish[s];
+            }
         }
-        let streams = sim.run().makespan;
-        let sequential = (h2d + k + d2h + host) * slices as f64;
-        assert!(streams < sequential);
-        // Bottleneck lower bound.
-        assert!(streams >= k * slices as f64);
+        finish[3]
+    }
+
+    /// Seeded stage times: each stage is exactly zero one time in
+    /// seven, otherwise spread over five decades.
+    fn stages(rng: &mut SmallRng) -> StageTimes {
+        let mut stage = || {
+            if rng.gen_range(0..7) == 0 {
+                0.0
+            } else {
+                rng.gen::<f64>() * 10f64.powi(rng.gen_range(-3..2))
+            }
+        };
+        StageTimes { h2d: stage(), kernel: stage(), d2h: stage(), cpu: stage() }
+    }
+
+    #[test]
+    fn ideal_pipeline_keeps_the_overlap_shape() {
+        let t = StageTimes { h2d: 1.0, kernel: 4.0, d2h: 1.0, cpu: 4.0 };
+        // One slice is the sequential total.
+        assert_eq!(t.pipelined_seconds(1), 10.0);
+        assert_eq!(t.sequential_seconds(), 10.0);
+        // More slices never hurt.
+        let mut last = f64::INFINITY;
+        for slices in [1, 2, 4, 8, 64] {
+            let m = t.pipelined_seconds(slices);
+            assert!(m <= last + 1e-12, "slices {slices}: {m} > {last}");
+            last = m;
+        }
+        // The paper's V2 argument: when kernel and CPU-selection times
+        // are comparable, overlap nearly halves the total.
+        assert!(overlap_speedup(10.0, t.pipelined_seconds(64)) > 2.0);
+        // With many slices, time → max-stage total + ramp-up ≈ 4.0.
+        let m = t.pipelined_seconds(1000);
+        assert!((4.0 - 1e-9..4.2).contains(&m), "{m}");
+    }
+
+    #[test]
+    fn ideal_pipeline_is_bit_identical_to_the_reference_loop() {
+        let mut rng = SmallRng::seed_from_u64(0x5EED_0001);
+        for _ in 0..300 {
+            let total = stages(&mut rng);
+            for slices in 1..=64 {
+                assert_eq!(
+                    total.pipelined_seconds(slices).to_bits(),
+                    reference_pipelined_makespan(total, slices).to_bits(),
+                    "{total:?} over {slices} slices"
+                );
+            }
+        }
+        let zero = StageTimes::default();
+        for slices in 1..=64 {
+            assert_eq!(zero.pipelined_seconds(slices).to_bits(), 0.0f64.to_bits());
+        }
+    }
+
+    #[test]
+    fn timeline_pipelined_seconds_is_bit_identical_to_the_reference_loop() {
+        // Ragged per-batch timelines: the pipeline runs over equal slices
+        // of the accumulated totals, one slice per batch.
+        let mut rng = SmallRng::seed_from_u64(0x5EED_0002);
+        for case in 0..640 {
+            let batches = 1 + case % 64;
+            let mut timeline = BatchTimeline::new();
+            let mut totals = StageTimes::default();
+            for _ in 0..batches {
+                let b = stages(&mut rng);
+                totals.h2d += b.h2d;
+                totals.kernel += b.kernel;
+                totals.d2h += b.d2h;
+                totals.cpu += b.cpu;
+                timeline.push(b);
+            }
+            assert_eq!(timeline.batches(), batches);
+            assert_eq!(
+                timeline.pipelined_seconds().to_bits(),
+                reference_pipelined_makespan(totals, batches).to_bits(),
+                "case {case}"
+            );
+            assert_eq!(
+                timeline.sequential_seconds().to_bits(),
+                (totals.h2d + totals.kernel + totals.d2h + totals.cpu).to_bits()
+            );
+        }
+        assert_eq!(BatchTimeline::new().pipelined_seconds(), 0.0);
+    }
+
+    #[test]
+    fn fermi_makespans_are_the_hand_built_schedules() {
+        let batches = [
+            StageTimes { h2d: 1.0, kernel: 4.0, d2h: 1.0, cpu: 2.0 },
+            StageTimes { h2d: 5.0, kernel: 1.0, d2h: 0.0, cpu: 3.0 },
+            StageTimes { h2d: 0.5, kernel: 3.0, d2h: 1.0, cpu: 0.0 },
+        ];
+        let mut timeline = BatchTimeline::new();
+        for b in batches {
+            timeline.push(b);
+        }
+
+        let mut depth = StreamSim::new();
+        depth.enqueue_batch(0, 1.0, 4.0, 1.0, 2.0);
+        depth.enqueue_batch(1, 5.0, 1.0, 0.0, 3.0);
+        depth.enqueue_batch(2, 0.5, 3.0, 1.0, 0.0);
+
+        let mut breadth = StreamSim::new();
+        breadth.enqueue(0, Engine::Copy, 1.0);
+        breadth.enqueue(1, Engine::Copy, 5.0);
+        breadth.enqueue(2, Engine::Copy, 0.5);
+        breadth.enqueue(0, Engine::Compute, 4.0);
+        breadth.enqueue(1, Engine::Compute, 1.0);
+        breadth.enqueue(2, Engine::Compute, 3.0);
+        breadth.enqueue(0, Engine::Copy, 1.0);
+        breadth.enqueue(1, Engine::Copy, 0.0);
+        breadth.enqueue(2, Engine::Copy, 1.0);
+        breadth.enqueue(0, Engine::Host, 2.0);
+        breadth.enqueue(1, Engine::Host, 3.0);
+        breadth.enqueue(2, Engine::Host, 0.0);
+
+        let depth = depth.run().makespan;
+        let breadth = breadth.run().makespan;
+        assert_eq!(timeline.fermi_depth_first_seconds().to_bits(), depth.to_bits());
+        assert_eq!(timeline.fermi_breadth_first_seconds().to_bits(), breadth.to_bits());
+        // Worked by hand: under depth-first issue stream 1's H2D queues
+        // behind stream 0's D2H; under breadth-first issue stream 0's D2H
+        // queues behind the later H2Ds on the one copy engine instead.
+        assert_eq!(depth, 16.5);
+        assert_eq!(breadth, 12.5);
+        assert_eq!(timeline.sequential_seconds(), 21.5);
+    }
+
+    #[test]
+    fn second_copy_engine_overlaps_the_first() {
+        let mut sim = StreamSim::new();
+        sim.enqueue(0, Engine::Copy, 2.0);
+        sim.enqueue(1, Engine::SecondCopy, 2.0);
+        assert_eq!(sim.run().makespan, 2.0);
+    }
+
+    #[test]
+    fn overlap_speedup_is_one_without_a_makespan() {
+        assert_eq!(overlap_speedup(4.0, 2.0), 2.0);
+        assert_eq!(overlap_speedup(0.0, 0.0), 1.0);
+        assert_eq!(overlap_speedup(3.0, 0.0), 1.0);
     }
 }

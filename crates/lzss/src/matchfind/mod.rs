@@ -7,27 +7,19 @@
 //! * [`BruteForce`] — the linear window scan ("sequential search"); the
 //!   cost profile the paper's GPU kernels parallelize.
 //! * [`HashChain`] — hash-indexed candidate chains (his `lzhash`).
-//! * [`KmpFinder`] — Knuth–Morris–Pratt assisted scan (his `lzkmp`).
-//! * [`TreeFinder`] — binary-search-tree over window positions (his
-//!   `lztree`).
 //!
-//! All finders share one contract, checked by unit and property tests:
-//! for every position they either return `None` (no match of at least
+//! Both share one contract, checked by unit and property tests: for
+//! every position they either return `None` (no match of at least
 //! `min_match` bytes exists inside the window) or the *longest*
-//! `(distance, length)` pair; [`BruteForce`] and [`HashChain`] break
-//! ties towards the smallest distance, and every finder agrees with
-//! brute force on the match *length* (which is what determines the
-//! compressed size).
+//! `(distance, length)` pair, breaking ties towards the smallest
+//! distance. [`FinderKind::auto_exact`] says when that makes their
+//! streams byte-identical.
 
 mod brute;
 mod hashchain;
-mod kmp;
-mod tree;
 
 pub use brute::BruteForce;
 pub use hashchain::HashChain;
-pub use kmp::KmpFinder;
-pub use tree::TreeFinder;
 
 use crate::config::LzssConfig;
 
@@ -48,13 +40,9 @@ pub trait MatchFinder {
     /// been fed every position `< pos` via [`MatchFinder::insert`].
     fn find(&mut self, data: &[u8], pos: usize, config: &LzssConfig) -> Option<FoundMatch>;
 
-    /// Records that `pos` is now part of the window.
+    /// Records that `pos` is now part of the window. Positions are never
+    /// dropped, so `find` must itself bound its walk to the window.
     fn insert(&mut self, data: &[u8], pos: usize);
-
-    /// Removes `pos` from the index when it slides out of the window.
-    /// Only finders with per-position bookkeeping need this; the default
-    /// is a no-op (chain/scan finders bound their walks by position).
-    fn evict(&mut self, _data: &[u8], _pos: usize) {}
 
     /// Resets internal state so the finder can be reused on new data.
     fn reset(&mut self);
@@ -83,24 +71,17 @@ pub enum FinderKind {
     BruteForce,
     /// Hash-chain accelerated scan.
     HashChain,
-    /// KMP-assisted scan.
-    Kmp,
-    /// Binary-search-tree index.
-    Tree,
 }
 
 impl FinderKind {
     /// All finder kinds, for cross-checking tests and benches.
-    pub const ALL: [FinderKind; 4] =
-        [FinderKind::BruteForce, FinderKind::HashChain, FinderKind::Kmp, FinderKind::Tree];
+    pub const ALL: [FinderKind; 2] = [FinderKind::BruteForce, FinderKind::HashChain];
 
     /// Stable name for reports.
     pub fn name(&self) -> &'static str {
         match self {
             FinderKind::BruteForce => "brute-force",
             FinderKind::HashChain => "hash-chain",
-            FinderKind::Kmp => "kmp",
-            FinderKind::Tree => "tree",
         }
     }
 
@@ -150,11 +131,6 @@ mod tests {
             assert_eq!(want, got, "length mismatch at pos {pos}");
             brute.insert(data, pos);
             finder.insert(data, pos);
-            // Same ordering as the serial tokenizer: once `pos` is in,
-            // `pos − window` can never be a source again.
-            if pos >= config.window_size {
-                finder.evict(data, pos - config.window_size);
-            }
         }
     }
 
@@ -184,8 +160,6 @@ mod tests {
         let config = cfg();
         for data in corpus() {
             assert_lengths_match_brute(&data, &mut HashChain::new(config.window_size), &config);
-            assert_lengths_match_brute(&data, &mut KmpFinder::new(), &config);
-            assert_lengths_match_brute(&data, &mut TreeFinder::new(), &config);
         }
     }
 
@@ -195,17 +169,14 @@ mod tests {
         config.window_size = 32;
         for data in corpus() {
             assert_lengths_match_brute(&data, &mut HashChain::new(config.window_size), &config);
-            assert_lengths_match_brute(&data, &mut KmpFinder::new(), &config);
-            assert_lengths_match_brute(&data, &mut TreeFinder::new(), &config);
         }
     }
 
     #[test]
     fn finder_kind_metadata() {
-        assert_eq!(FinderKind::ALL.len(), 4);
         let names: std::collections::BTreeSet<&str> =
             FinderKind::ALL.iter().map(|f| f.name()).collect();
-        assert_eq!(names.len(), 4);
+        assert_eq!(names.len(), FinderKind::ALL.len());
         assert_eq!(FinderKind::default(), FinderKind::BruteForce);
     }
 

@@ -10,7 +10,7 @@
 use crate::config::LzssConfig;
 use crate::error::{Error, Result};
 use crate::format::{self, TokenFormat};
-use crate::matchfind::{BruteForce, FinderKind, HashChain, KmpFinder, MatchFinder, TreeFinder};
+use crate::matchfind::{BruteForce, FinderKind, HashChain, MatchFinder};
 use crate::token::Token;
 
 /// Magic prefix of standalone serial streams (`"LZSS"`).
@@ -31,8 +31,6 @@ pub fn tokenize_with(input: &[u8], config: &LzssConfig, finder: FinderKind) -> V
         FinderKind::HashChain => {
             tokenize_impl(input, config, &mut HashChain::new(config.window_size))
         }
-        FinderKind::Kmp => tokenize_impl(input, config, &mut KmpFinder::new()),
-        FinderKind::Tree => tokenize_impl(input, config, &mut TreeFinder::new()),
     }
 }
 
@@ -62,13 +60,6 @@ fn tokenize_into(
         let step = token.coverage();
         for p in pos..pos + step {
             finder.insert(input, p);
-            // Retire positions sliding out of the window (finders with
-            // per-position bookkeeping need this; others no-op). After
-            // inserting p, the next search runs at p+1 or later, whose
-            // window starts at p+1−window — so p−window can go now.
-            if p >= config.window_size {
-                finder.evict(input, p - config.window_size);
-            }
         }
         pos += step;
         tokens.push(token);
@@ -136,8 +127,6 @@ impl Tokenizer {
         match kind {
             FinderKind::BruteForce => Box::new(BruteForce::new()),
             FinderKind::HashChain => Box::new(HashChain::new(window)),
-            FinderKind::Kmp => Box::new(KmpFinder::new()),
-            FinderKind::Tree => Box::new(TreeFinder::new()),
         }
     }
 
@@ -546,56 +535,5 @@ mod tests {
         assert!(stats.matches >= 4, "expected several matches, got {stats:?}");
         let c = compress(text, &config).unwrap();
         assert!(c.len() < text.len());
-    }
-}
-
-#[cfg(test)]
-mod finder_equivalence_tests {
-    use super::*;
-    use crate::matchfind::FinderKind;
-
-    /// Every finder must produce a stream that decompresses to the input,
-    /// and (because all finders are longest-match) the same *compressed
-    /// size* — offsets may differ, lengths may not.
-    #[test]
-    fn all_finders_compress_equivalently() {
-        let config = LzssConfig::dipperstein();
-        let inputs: Vec<Vec<u8>> = vec![
-            b"the cat sat on the mat and the cat sat on the hat".repeat(20),
-            vec![42u8; 5000],
-            (0..4000u32).map(|i| ((i * 37 + i / 11) % 7) as u8 + b'0').collect(),
-        ];
-        for input in inputs {
-            let reference = compress(&input, &config).unwrap();
-            for finder in FinderKind::ALL {
-                let stream = compress_with(&input, &config, finder).unwrap();
-                assert_eq!(
-                    stream.len(),
-                    reference.len(),
-                    "{} produced a different size",
-                    finder.name()
-                );
-                assert_eq!(
-                    decompress(&stream, &config).unwrap(),
-                    input,
-                    "{} roundtrip failed",
-                    finder.name()
-                );
-            }
-        }
-    }
-
-    /// Same check under the narrow GPU window, where eviction paths in
-    /// the tree finder are exercised heavily.
-    #[test]
-    fn all_finders_compress_equivalently_narrow_window() {
-        let config = LzssConfig::culzss_v2();
-        let input = b"narrow windows stress eviction logic in indexed finders! ".repeat(60);
-        let reference = compress(&input, &config).unwrap();
-        for finder in FinderKind::ALL {
-            let stream = compress_with(&input, &config, finder).unwrap();
-            assert_eq!(stream.len(), reference.len(), "{}", finder.name());
-            assert_eq!(decompress(&stream, &config).unwrap(), input, "{}", finder.name());
-        }
     }
 }

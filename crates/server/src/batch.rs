@@ -3,12 +3,14 @@
 //! Small jobs are not launched one-by-one: a worker drains a window of
 //! same-kind jobs from the queue and runs them back-to-back as one
 //! coalesced batch, whose per-job stage times feed a
-//! [`culzss::stream::BatchTimeline`]. Each batch reports its sequential
-//! (back-to-back) stage total next to the pipelined makespan — the
-//! streaming overlap argument of the paper (§VII), applied to the
+//! [`culzss_gpusim::streams::BatchTimeline`]. Each batch reports its
+//! sequential (back-to-back) stage total next to the pipelined makespan
+//! — the streaming overlap argument of the paper (§VII), applied to the
 //! service's launch windows.
 
 use std::fmt;
+
+use culzss_gpusim::streams::overlap_speedup;
 
 use crate::job::{EngineKind, JobKind};
 
@@ -35,11 +37,7 @@ pub struct BatchReport {
 impl BatchReport {
     /// Speedup of the overlapped schedule over back-to-back execution.
     pub fn overlap_speedup(&self) -> f64 {
-        if self.pipelined_seconds <= 0.0 {
-            1.0
-        } else {
-            self.sequential_seconds / self.pipelined_seconds
-        }
+        overlap_speedup(self.sequential_seconds, self.pipelined_seconds)
     }
 }
 

@@ -18,7 +18,7 @@
 //!   idle devices steal from the deepest healthy peer's shard; batches
 //!   coalesce same-kind jobs and report sequential vs. pipelined
 //!   makespan ([`BatchReport`], built on
-//!   `culzss::stream::BatchTimeline`).
+//!   `culzss_gpusim::streams::BatchTimeline`).
 //! - **Graceful degradation** — simulated device failures (injected via
 //!   [`FaultPlan`] or real launch errors) consume a bounded retry budget
 //!   and reroute onto another healthy GPU first, degrading to the

@@ -4,6 +4,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
+use culzss_gpusim::streams::overlap_speedup;
 use parking_lot::Mutex;
 
 use crate::batch::BatchReport;
@@ -621,14 +622,11 @@ impl ServiceStats {
         }
     }
 
-    /// Mean speedup of the overlapped batch schedule over back-to-back
-    /// execution of the same windows.
+    /// Speedup of the overlapped batch schedules over back-to-back
+    /// execution of the same windows: the summed sequential makespans
+    /// over the summed pipelined ones (1.0 before any batch ran).
     pub fn batching_speedup(&self) -> f64 {
-        if self.batch_pipelined_seconds <= 0.0 {
-            1.0
-        } else {
-            self.batch_sequential_seconds / self.batch_pipelined_seconds
-        }
+        overlap_speedup(self.batch_sequential_seconds, self.batch_pipelined_seconds)
     }
 }
 

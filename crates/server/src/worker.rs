@@ -23,10 +23,9 @@
 use std::time::{Duration, Instant};
 
 use culzss::hetero;
-use culzss::pipeline::StageTimes;
-use culzss::stream::BatchTimeline;
 use culzss::{Culzss, CulzssError};
 use culzss_dedup::DedupReport;
+use culzss_gpusim::streams::{BatchTimeline, StageTimes};
 use culzss_gpusim::trace::Timeline;
 
 use crate::batch::BatchReport;
@@ -201,7 +200,7 @@ fn run_job(
             );
             match result {
                 Ok(output) => {
-                    timeline.push_stages(StageTimes { cpu: service_seconds, ..Default::default() });
+                    timeline.push(StageTimes { cpu: service_seconds, ..Default::default() });
                     deliver(
                         shared,
                         job,
@@ -322,8 +321,7 @@ fn run_job(
                         // Dedup-path job: the work was host-side cache
                         // serving plus per-segment launches, already in
                         // the wall clock; account it as one CPU stage.
-                        timeline
-                            .push_stages(StageTimes { cpu: service_seconds, ..Default::default() });
+                        timeline.push(StageTimes { cpu: service_seconds, ..Default::default() });
                     }
                     deliver(
                         shared,
