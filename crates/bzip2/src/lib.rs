@@ -37,7 +37,6 @@ pub mod bwt;
 pub mod crc;
 pub mod error;
 pub mod huffman;
-pub mod io;
 pub mod mtf;
 pub mod rle1;
 pub mod zrle;
@@ -155,6 +154,15 @@ mod tests {
         let input: Vec<u8> = (0..50_000u32).map(|i| (i % 251) as u8).collect();
         let c = compress_with(&input, 8 * 1024, Backend::SaIs).unwrap();
         assert_eq!(decompress(&c).unwrap(), input);
+
+        // An exact multiple of the block size leaves no short final block.
+        let exact = vec![42u8; 4 * 1024];
+        let c = compress_with(&exact, 1024, Backend::SaIs).unwrap();
+        assert_eq!(decompress(&c).unwrap(), exact);
+
+        assert!(compress_with(b"x", 0, Backend::SaIs).is_err());
+        // The default block is bzip2's `-9`.
+        assert_eq!(BZ_BLOCK_SIZE, 900 * 1000);
     }
 
     #[test]

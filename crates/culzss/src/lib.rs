@@ -59,7 +59,6 @@ pub mod params;
 pub mod pipeline;
 pub mod salvage;
 pub mod sancheck;
-pub mod stream;
 pub mod tuning;
 pub mod v3;
 

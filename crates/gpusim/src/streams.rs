@@ -16,8 +16,8 @@
 //! sweep in submission order and returns per-op intervals plus the
 //! makespan. It is the only makespan loop in the workspace: the ideal
 //! CPU/GPU pipeline of paper §V ([`StageTimes::pipelined_seconds`]) and
-//! the per-batch overlap accounting of the streaming compressor and the
-//! service ([`BatchTimeline`]) are schedules built on it.
+//! the service's per-batch overlap accounting ([`BatchTimeline`]) are
+//! schedules built on it.
 
 /// Resource class of an operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,13 +190,13 @@ impl StageTimes {
     }
 }
 
-/// Accumulator for the per-batch stage times of a multi-launch run, and
-/// the scheduling models over them. The streaming compressor and the
-/// service's batch scheduler both report sequential vs. pipelined
-/// makespans for the launches they issue through it.
+/// Accumulator for the stage times of a multi-launch run, and the
+/// pipeline model over them. The service's batch scheduler reports
+/// sequential vs. pipelined makespans for the launches it issues
+/// through it.
 #[derive(Debug, Clone, Default)]
 pub struct BatchTimeline {
-    per_batch: Vec<StageTimes>,
+    batches: usize,
     totals: StageTimes,
 }
 
@@ -214,12 +214,12 @@ impl BatchTimeline {
         self.totals.kernel += stages.kernel;
         self.totals.d2h += stages.d2h;
         self.totals.cpu += stages.cpu;
-        self.per_batch.push(stages);
+        self.batches += 1;
     }
 
     /// Number of batches recorded.
     pub fn batches(&self) -> usize {
-        self.per_batch.len()
+        self.batches
     }
 
     /// Σ of the per-batch sequential (back-to-back) totals.
@@ -230,36 +230,11 @@ impl BatchTimeline {
     /// Makespan of the ideal 4-stage pipeline over as many equal slices
     /// of the recorded totals as there are batches.
     pub fn pipelined_seconds(&self) -> f64 {
-        if self.per_batch.is_empty() {
+        if self.batches == 0 {
             0.0
         } else {
-            self.totals.pipelined_seconds(self.per_batch.len())
+            self.totals.pipelined_seconds(self.batches)
         }
-    }
-
-    /// Makespan under the Fermi stream model with depth-first issue (the
-    /// head-of-line-blocked schedule a naive port gets).
-    pub fn fermi_depth_first_seconds(&self) -> f64 {
-        let mut sim = StreamSim::new();
-        for (i, b) in self.per_batch.iter().enumerate() {
-            sim.enqueue_batch(i, b.h2d, b.kernel, b.d2h, b.cpu);
-        }
-        sim.run().makespan
-    }
-
-    /// Makespan under the Fermi stream model with breadth-first issue
-    /// (the era-correct submission order).
-    pub fn fermi_breadth_first_seconds(&self) -> f64 {
-        let mut sim = StreamSim::new();
-        for (stage, pick) in
-            [(Engine::Copy, 0usize), (Engine::Compute, 1), (Engine::Copy, 2), (Engine::Host, 3)]
-        {
-            for (i, b) in self.per_batch.iter().enumerate() {
-                let dur = [b.h2d, b.kernel, b.d2h, b.cpu][pick];
-                sim.enqueue(i, stage, dur);
-            }
-        }
-        sim.run().makespan
     }
 }
 
@@ -480,49 +455,6 @@ mod tests {
             );
         }
         assert_eq!(BatchTimeline::new().pipelined_seconds(), 0.0);
-    }
-
-    #[test]
-    fn fermi_makespans_are_the_hand_built_schedules() {
-        let batches = [
-            StageTimes { h2d: 1.0, kernel: 4.0, d2h: 1.0, cpu: 2.0 },
-            StageTimes { h2d: 5.0, kernel: 1.0, d2h: 0.0, cpu: 3.0 },
-            StageTimes { h2d: 0.5, kernel: 3.0, d2h: 1.0, cpu: 0.0 },
-        ];
-        let mut timeline = BatchTimeline::new();
-        for b in batches {
-            timeline.push(b);
-        }
-
-        let mut depth = StreamSim::new();
-        depth.enqueue_batch(0, 1.0, 4.0, 1.0, 2.0);
-        depth.enqueue_batch(1, 5.0, 1.0, 0.0, 3.0);
-        depth.enqueue_batch(2, 0.5, 3.0, 1.0, 0.0);
-
-        let mut breadth = StreamSim::new();
-        breadth.enqueue(0, Engine::Copy, 1.0);
-        breadth.enqueue(1, Engine::Copy, 5.0);
-        breadth.enqueue(2, Engine::Copy, 0.5);
-        breadth.enqueue(0, Engine::Compute, 4.0);
-        breadth.enqueue(1, Engine::Compute, 1.0);
-        breadth.enqueue(2, Engine::Compute, 3.0);
-        breadth.enqueue(0, Engine::Copy, 1.0);
-        breadth.enqueue(1, Engine::Copy, 0.0);
-        breadth.enqueue(2, Engine::Copy, 1.0);
-        breadth.enqueue(0, Engine::Host, 2.0);
-        breadth.enqueue(1, Engine::Host, 3.0);
-        breadth.enqueue(2, Engine::Host, 0.0);
-
-        let depth = depth.run().makespan;
-        let breadth = breadth.run().makespan;
-        assert_eq!(timeline.fermi_depth_first_seconds().to_bits(), depth.to_bits());
-        assert_eq!(timeline.fermi_breadth_first_seconds().to_bits(), breadth.to_bits());
-        // Worked by hand: under depth-first issue stream 1's H2D queues
-        // behind stream 0's D2H; under breadth-first issue stream 0's D2H
-        // queues behind the later H2Ds on the one copy engine instead.
-        assert_eq!(depth, 16.5);
-        assert_eq!(breadth, 12.5);
-        assert_eq!(timeline.sequential_seconds(), 21.5);
     }
 
     #[test]

@@ -76,11 +76,6 @@ impl BitWriter {
         }
     }
 
-    /// Number of complete bytes buffered so far (excludes the partial byte).
-    pub fn complete_bytes(&self) -> usize {
-        self.bytes.len()
-    }
-
     /// Total number of bits written so far.
     pub fn bit_len(&self) -> usize {
         self.bytes.len() * 8 + usize::from(self.used)
@@ -115,20 +110,10 @@ impl<'a> BitReader<'a> {
         Self { bytes, pos: 0 }
     }
 
-    /// Number of bits left to read.
-    pub fn remaining_bits(&self) -> usize {
-        self.bytes.len() * 8 - self.pos
-    }
-
     /// True when every bit has been consumed (trailing zero padding counts
     /// as unread bits; callers decide whether that is acceptable).
     pub fn is_exhausted(&self) -> bool {
-        self.remaining_bits() == 0
-    }
-
-    /// Current bit offset from the start of the stream.
-    pub fn position(&self) -> usize {
-        self.pos
+        self.pos == self.bytes.len() * 8
     }
 
     /// Reads one bit.
@@ -145,7 +130,7 @@ impl<'a> BitReader<'a> {
     /// Reads `count` bits MSB-first into the low bits of the result.
     pub fn read_bits(&mut self, count: u8, context: &'static str) -> Result<u32> {
         assert!(count <= 32, "cannot read more than 32 bits at once");
-        if self.remaining_bits() < usize::from(count) {
+        if self.bytes.len() * 8 - self.pos < usize::from(count) {
             return Err(Error::UnexpectedEof { context });
         }
         let mut value = 0u32;
@@ -232,16 +217,12 @@ mod tests {
         assert!(w.is_empty());
         w.write_bits(0b101, 3);
         assert_eq!(w.bit_len(), 3);
-        assert_eq!(w.complete_bytes(), 0);
         w.write_bits(0x1F, 5);
-        assert_eq!(w.complete_bytes(), 1);
+        assert_eq!(w.bit_len(), 8);
         let bytes = w.finish();
 
         let mut r = BitReader::new(&bytes);
-        assert_eq!(r.remaining_bits(), 8);
         r.read_bits(5, "x").unwrap();
-        assert_eq!(r.remaining_bits(), 3);
-        assert_eq!(r.position(), 5);
         assert!(!r.is_exhausted());
         r.read_bits(3, "x").unwrap();
         assert!(r.is_exhausted());

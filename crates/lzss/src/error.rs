@@ -77,12 +77,6 @@ pub enum Error {
         /// Bytes actually available.
         got: usize,
     },
-    /// An underlying I/O operation failed (only from the [`crate::stream`]
-    /// adapters; in-memory codecs never produce this).
-    Io {
-        /// Stringified `std::io::Error`, kept as text so `Error: Clone + Eq`.
-        message: String,
-    },
 }
 
 impl fmt::Display for Error {
@@ -126,18 +120,11 @@ impl fmt::Display for Error {
             Error::Truncated { needed, got } => {
                 write!(f, "input truncated: needed at least {needed} bytes, got {got}")
             }
-            Error::Io { message } => write!(f, "I/O error: {message}"),
         }
     }
 }
 
 impl std::error::Error for Error {}
-
-impl From<std::io::Error> for Error {
-    fn from(e: std::io::Error) -> Self {
-        Error::Io { message: e.to_string() }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -157,14 +144,6 @@ mod tests {
 
         let e = Error::SizeMismatch { expected: 10, actual: 7 };
         assert!(e.to_string().contains("10") && e.to_string().contains("7"));
-    }
-
-    #[test]
-    fn io_errors_convert() {
-        let io = std::io::Error::other("boom");
-        let e: Error = io.into();
-        assert!(matches!(e, Error::Io { .. }));
-        assert!(e.to_string().contains("boom"));
     }
 
     #[test]

@@ -21,15 +21,12 @@
 //! * [`matchfind`] — pluggable longest-match searchers (brute force as in
 //!   the paper, plus a hash-chain accelerated variant implementing the
 //!   paper's "better search structures" future-work item).
-//! * [`parse`] — greedy and one-step-lazy parsing strategies (the
-//!   latter implements part of the paper's algorithmic future work).
 //! * [`serial`] — the reference serial compressor/decompressor.
 //! * [`container`] — the chunked container format with the per-chunk
 //!   compressed-size table the paper records for parallel decompression;
 //!   container v2 adds per-chunk, whole-stream and metadata CRC-32s.
 //! * [`crc`] — the bzip2-variant CRC-32 shared by the container v2
 //!   integrity layer and the `culzss-bzip2` codec.
-//! * [`stream`] — `std::io` adapters for whole-stream compression.
 //! * [`analyze`] — match statistics used by tests, docs and benches.
 //!
 //! ## Quick example
@@ -55,11 +52,8 @@ pub mod container;
 pub mod crc;
 pub mod error;
 pub mod format;
-pub mod incremental;
 pub mod matchfind;
-pub mod parse;
 pub mod serial;
-pub mod stream;
 pub mod token;
 
 pub use config::LzssConfig;

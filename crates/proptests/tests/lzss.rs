@@ -128,102 +128,3 @@ proptest! {
         prop_assert!(compressed.len() < input.len());
     }
 }
-
-mod incremental_props {
-    use culzss_lzss::config::LzssConfig;
-    use culzss_lzss::incremental::{IncrementalDecoder, IncrementalEncoder};
-    use culzss_lzss::serial;
-    use proptest::prelude::*;
-
-    fn configs() -> impl Strategy<Value = LzssConfig> {
-        prop_oneof![
-            Just(LzssConfig::dipperstein()),
-            Just(LzssConfig::culzss_v1()),
-            Just(LzssConfig::culzss_v2()),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// Incremental encoding under arbitrary push splits is
-        /// byte-identical to the batch compressor.
-        #[test]
-        fn encoder_equals_batch_for_any_split(
-            data in proptest::collection::vec(any::<u8>(), 0..4000),
-            splits in proptest::collection::vec(1usize..257, 0..40),
-            config in configs(),
-        ) {
-            let mut enc = IncrementalEncoder::new(config.clone()).unwrap();
-            let mut off = 0usize;
-            for s in splits {
-                if off >= data.len() {
-                    break;
-                }
-                let n = s.min(data.len() - off);
-                enc.push(&data[off..off + n]);
-                off += n;
-            }
-            enc.push(&data[off..]);
-            let got = enc.finish().unwrap();
-            prop_assert_eq!(got, serial::compress(&data, &config).unwrap());
-        }
-
-        /// Incremental decoding under arbitrary push splits reproduces
-        /// the original bytes.
-        #[test]
-        fn decoder_roundtrips_for_any_split(
-            data in proptest::collection::vec(
-                prop_oneof![Just(b'a'), Just(b'b'), Just(b'c'), any::<u8>()],
-                0..4000,
-            ),
-            push in 1usize..513,
-            config in configs(),
-        ) {
-            let compressed = serial::compress(&data, &config).unwrap();
-            let mut dec = IncrementalDecoder::new_standalone(config).unwrap();
-            let mut out = Vec::new();
-            for chunk in compressed.chunks(push) {
-                dec.push(chunk, &mut out).unwrap();
-            }
-            prop_assert!(dec.is_done());
-            prop_assert_eq!(out, data);
-        }
-
-        /// The decoder survives arbitrary garbage without panicking.
-        #[test]
-        fn decoder_never_panics_on_garbage(
-            garbage in proptest::collection::vec(any::<u8>(), 0..600),
-            push in 1usize..64,
-            config in configs(),
-        ) {
-            let mut dec = IncrementalDecoder::new_standalone(config).unwrap();
-            let mut out = Vec::new();
-            for chunk in garbage.chunks(push) {
-                if dec.push(chunk, &mut out).is_err() {
-                    break;
-                }
-            }
-        }
-
-        /// Lazy parsing roundtrips and never bloats much.
-        #[test]
-        fn lazy_parse_roundtrips(
-            data in proptest::collection::vec(
-                prop_oneof![Just(b'x'), Just(b'y'), any::<u8>()],
-                0..3000,
-            ),
-            config in configs(),
-        ) {
-            use culzss_lzss::parse::{tokenize, ParseStrategy};
-            use culzss_lzss::matchfind::FinderKind;
-            use culzss_lzss::token::expand;
-            let lazy = tokenize(&data, &config, FinderKind::HashChain, ParseStrategy::Lazy);
-            prop_assert_eq!(expand(&lazy, &config).unwrap(), data.clone());
-            let greedy = tokenize(&data, &config, FinderKind::HashChain, ParseStrategy::Greedy);
-            let l = culzss_lzss::format::encoded_len(&lazy, &config);
-            let g = culzss_lzss::format::encoded_len(&greedy, &config);
-            prop_assert!(l as f64 <= g as f64 * 1.03 + 4.0, "lazy {} vs greedy {}", l, g);
-        }
-    }
-}

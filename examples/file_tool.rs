@@ -11,7 +11,7 @@
 use std::process::ExitCode;
 
 use culzss::{Culzss, Version};
-use culzss_lzss::{stream, LzssConfig};
+use culzss_lzss::{serial, LzssConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -66,14 +66,12 @@ fn run(input_path: &str, output_path: &str, codec: Codec, compressing: bool) -> 
         }
         (Codec::Serial, compressing) => {
             let config = LzssConfig::dipperstein();
-            let mut out = Vec::new();
-            let mut cursor = std::io::Cursor::new(&input);
             let r = if compressing {
-                stream::compress_stream(&mut cursor, &mut out, &config).map(|_| ())
+                serial::compress(&input, &config)
             } else {
-                stream::decompress_stream(&mut cursor, &mut out, &config).map(|_| ())
+                serial::decompress(&input, &config)
             };
-            r.map(|()| out).map_err(culzss::CulzssError::Codec)
+            r.map_err(culzss::CulzssError::Codec)
         }
     };
     match result {

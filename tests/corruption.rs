@@ -234,9 +234,6 @@ mod proptests {
             let _ = culzss_pthread::decompress(&data, &LzssConfig::dipperstein(), 2);
             let _ = culzss_bzip2::decompress(&data);
             let _ = culzss::salvage::salvage(&data);
-            let mut sink = Vec::new();
-            let streamer = culzss::stream::StreamingCompressor::new(Culzss::new(Version::V1));
-            let _ = streamer.decompress_stream(&mut &data[..], &mut sink);
         }
 
         /// Arbitrary mutations of a valid v2 stream either fail typed

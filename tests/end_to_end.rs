@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: every implementation on every dataset,
 //! plus wire-format interoperability between the CPU and GPU codecs.
 
+use culzss::hetero::HeteroCompressor;
 use culzss::{Culzss, CulzssParams, Version};
 use culzss_datasets::Dataset;
 use culzss_lzss::{serial, LzssConfig};
@@ -84,6 +85,23 @@ fn pthread_and_gpu_containers_are_wire_compatible() {
 
     // Same inputs, same algorithm, same format ⇒ identical bytes.
     assert_eq!(cpu_stream, gpu_stream);
+}
+
+#[test]
+fn hetero_streams_interoperate_with_every_decompressor() {
+    let data = Dataset::KernelTarball.generate(128 * 1024, 33);
+    let hetero = HeteroCompressor::new(Culzss::new(Version::V1).with_workers(2), 0.5, 2);
+    let (stream, stats) = hetero.compress(&data).unwrap();
+    assert!(stats.cpu_chunks > 0 && stats.gpu_chunks > 0);
+
+    // GPU decompressor.
+    let gpu = Culzss::new(Version::V1).with_workers(2);
+    assert_eq!(gpu.decompress(&stream).unwrap().0, data);
+    // Auto decompressor.
+    assert_eq!(gpu.decompress_auto(&stream).unwrap().0, data);
+    // CPU chunked decompressor (same container, same config).
+    let config = gpu.params().lzss_config();
+    assert_eq!(culzss_pthread::decompress(&stream, &config, 3).unwrap(), data);
 }
 
 #[test]
