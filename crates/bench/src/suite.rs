@@ -260,23 +260,13 @@ pub fn run_suite_filtered(
     }
 }
 
-/// Runs the suite and gates it against `baseline`. A run that fails the
-/// gate is re-measured once and merged cell-wise with the first pass
-/// (fastest measurement wins, see [`merge_best`]) before the final
-/// verdict: a transient host load spike slows one run's cells, but a
-/// real regression is in the binary and fails both passes.
-pub fn run_checked(
-    cfg: &SuiteCfg,
-    probe: AllocProbe,
-    commands: Vec<String>,
-    baseline: &Report,
-    tol: &Tolerances,
-) -> (Report, Vec<Regression>) {
-    run_checked_filtered(cfg, probe, commands, baseline, tol, &GridFilter::default())
-}
-
-/// [`run_checked`] restricted to the cells `filter` admits; baseline
-/// cells outside the filter are skipped by the comparator, not failed.
+/// Runs the cells `filter` admits and gates them against `baseline`;
+/// baseline cells outside the filter are skipped by the comparator, not
+/// failed. A run that fails the gate is re-measured once and merged
+/// cell-wise with the first pass (fastest measurement wins, see
+/// [`merge_best`]) before the final verdict: a transient host load spike
+/// slows one run's cells, but a real regression is in the binary and
+/// fails both passes.
 pub fn run_checked_filtered(
     cfg: &SuiteCfg,
     probe: AllocProbe,

@@ -21,8 +21,6 @@ usage:
                     [--engine serial|warp] [--out PATH]
   culzss dedup      <input> [--cache-mb N]
   culzss bench-serve [--jobs N] [--payload BYTES] [--seed N]
-  culzss bench      [--smoke] [--size-mb N] [--reps N] [--seed N] [--out PATH]
-                    [--engines a,b] [--corpora x,y] [--check --baseline PATH]
   culzss sancheck   [--dataset SLUG|all] [--bytes N] [--seed N]
   culzss selftest
 
@@ -75,11 +73,7 @@ dedup: compresses <input> twice through a chunk-cache-backed compressor
 sancheck: runs all three CULZSS kernels and both decode engines (serial
        and warp-parallel, over streams from every kernel) on corpus samples
        under the shared-memory sanitizer (racecheck) and prints the
-       reports; exits nonzero on any conflict or barrier divergence.
-bench: runs every engine over the five evaluation corpora and writes a
-       machine-readable JSON report (default BENCH_<timestamp>.json);
-       --check gates the run against a baseline report and exits
-       nonzero on regression (see DESIGN.md §12 for the tolerances).";
+       reports; exits nonzero on any conflict or barrier divergence.";
 
 /// Which compressor/decompressor to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,27 +232,6 @@ pub enum Command {
         bytes: usize,
         /// Generator seed.
         seed: u64,
-    },
-    /// Run the engine × corpus benchmark suite (JSON report + gate).
-    Bench {
-        /// CI sizing (256 KiB per corpus).
-        smoke: bool,
-        /// Corpus size override in MiB.
-        size_mb: Option<usize>,
-        /// Repetition override.
-        reps: Option<usize>,
-        /// Seed override.
-        seed: Option<u64>,
-        /// Report path (default `BENCH_<timestamp>.json`).
-        out: Option<String>,
-        /// Baseline report to gate against.
-        baseline: Option<String>,
-        /// Gate against the baseline; exit nonzero on regression.
-        check: bool,
-        /// Comma-separated engine subset (None = all).
-        engines: Option<String>,
-        /// Comma-separated corpus subset (None = all).
-        corpora: Option<String>,
     },
     /// Round-trip every codec on generated data.
     Selftest,
@@ -421,32 +394,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 dataset: flag_value("--dataset")?.cloned().unwrap_or_else(|| "all".into()),
                 bytes: num("--bytes", 64 * 1024)?.max(1),
                 seed: num("--seed", 2011)? as u64,
-            })
-        }
-        "bench" => {
-            let num = |name: &str| -> Result<Option<usize>, String> {
-                match flag_value(name)? {
-                    Some(v) => {
-                        v.parse().map(Some).map_err(|_| format!("bad value for {name}: `{v}`"))
-                    }
-                    None => Ok(None),
-                }
-            };
-            let check = has_flag("--check");
-            let baseline = flag_value("--baseline")?.cloned();
-            if check && baseline.is_none() {
-                return Err("bench --check needs --baseline PATH".into());
-            }
-            Ok(Command::Bench {
-                smoke: has_flag("--smoke"),
-                size_mb: num("--size-mb")?,
-                reps: num("--reps")?,
-                seed: num("--seed")?.map(|s| s as u64),
-                out: flag_value("--out")?.cloned(),
-                baseline,
-                check,
-                engines: flag_value("--engines")?.cloned(),
-                corpora: flag_value("--corpora")?.cloned(),
             })
         }
         "selftest" => Ok(Command::Selftest),
@@ -723,57 +670,6 @@ mod tests {
             Command::Sancheck { dataset: "de-map".into(), bytes: 4096, seed: 9 }
         );
         assert!(parse(&argv("sancheck --bytes nope")).is_err());
-    }
-
-    #[test]
-    fn bench_defaults_and_flags() {
-        assert_eq!(
-            parse(&argv("bench")).unwrap(),
-            Command::Bench {
-                smoke: false,
-                size_mb: None,
-                reps: None,
-                seed: None,
-                out: None,
-                baseline: None,
-                check: false,
-                engines: None,
-                corpora: None,
-            }
-        );
-        assert_eq!(
-            parse(&argv("bench --smoke --check --baseline BENCH_BASELINE.json --out r.json"))
-                .unwrap(),
-            Command::Bench {
-                smoke: true,
-                size_mb: None,
-                reps: None,
-                seed: None,
-                out: Some("r.json".into()),
-                baseline: Some("BENCH_BASELINE.json".into()),
-                check: true,
-                engines: None,
-                corpora: None,
-            }
-        );
-        // --check without a baseline is a usage error.
-        assert!(parse(&argv("bench --check")).is_err());
-        assert!(parse(&argv("bench --size-mb nope")).is_err());
-    }
-
-    #[test]
-    fn bench_subset_filters_parse() {
-        match parse(&argv(
-            "bench --smoke --engines dedup-cold,dedup-warm --corpora incremental-edits",
-        ))
-        .unwrap()
-        {
-            Command::Bench { engines: Some(e), corpora: Some(c), .. } => {
-                assert_eq!(e, "dedup-cold,dedup-warm");
-                assert_eq!(c, "incremental-edits");
-            }
-            other => panic!("unexpected parse: {other:?}"),
-        }
     }
 
     #[test]

@@ -60,9 +60,6 @@ pub fn run(cmd: Command) -> Result<(), String> {
         }
         Command::Dedup { input, cache_mb } => dedup(&input, cache_mb),
         Command::BenchServe { jobs, payload, seed } => bench_serve(jobs, payload, seed),
-        Command::Bench { smoke, size_mb, reps, seed, out, baseline, check, engines, corpora } => {
-            bench(smoke, size_mb, reps, seed, out, baseline, check, engines, corpora)
-        }
         Command::Sancheck { dataset, bytes, seed } => sancheck(&dataset, bytes, seed),
         Command::Selftest => selftest(),
     }
@@ -714,105 +711,6 @@ fn bench_serve(jobs: usize, payload: usize, seed: u64) -> Result<(), String> {
         );
     }
     Ok(())
-}
-
-/// Runs the engine × corpus benchmark suite and (optionally) the
-/// regression gate. Thin front end over `culzss_bench::suite` /
-/// `::report`; unlike the `bench` binary this path installs no counting
-/// allocator, so the allocation columns read zero.
-#[allow(clippy::too_many_arguments)]
-fn bench(
-    smoke: bool,
-    size_mb: Option<usize>,
-    reps: Option<usize>,
-    seed: Option<u64>,
-    out: Option<String>,
-    baseline: Option<String>,
-    check: bool,
-    engines: Option<String>,
-    corpora: Option<String>,
-) -> Result<(), String> {
-    use culzss_bench::report::{Report, Tolerances};
-    use culzss_bench::suite::{
-        run_checked_filtered, run_suite_filtered, GridFilter, SuiteCfg, NO_PROBE,
-    };
-
-    let mut cfg = if smoke { SuiteCfg::smoke() } else { SuiteCfg::full() };
-    if let Some(mb) = size_mb {
-        cfg.bytes = mb.max(1) << 20;
-        cfg.smoke = false;
-    }
-    if let Some(r) = reps {
-        cfg.reps = r.max(1);
-    }
-    if let Some(s) = seed {
-        cfg.seed = s;
-    }
-    let filter = GridFilter::parse(engines.as_deref(), corpora.as_deref())?;
-
-    let mut cmd = String::from("culzss bench");
-    if cfg.smoke {
-        cmd.push_str(" --smoke");
-    } else {
-        cmd.push_str(&format!(" --size-mb {}", cfg.bytes >> 20));
-    }
-    cmd.push_str(&format!(" --reps {} --seed {:#x}", cfg.reps, cfg.seed));
-    if let Some(e) = &engines {
-        cmd.push_str(&format!(" --engines {e}"));
-    }
-    if let Some(c) = &corpora {
-        cmd.push_str(&format!(" --corpora {c}"));
-    }
-
-    println!(
-        "bench: {} KiB per corpus, {} rep(s), seed {:#x}{}",
-        cfg.bytes / 1024,
-        cfg.reps,
-        cfg.seed,
-        if cfg.smoke { " (smoke)" } else { "" }
-    );
-    // Load the baseline up front so a bad path fails before the run.
-    let loaded = match &baseline {
-        None => None,
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(Report::from_json(&text).map_err(|e| format!("{path}: {e}"))?)
-        }
-    };
-
-    let tolerances = Tolerances::default();
-    let (report, failures) = match (&loaded, check) {
-        (Some(base), true) => {
-            run_checked_filtered(&cfg, NO_PROBE, vec![cmd], base, &tolerances, &filter)
-        }
-        _ => (run_suite_filtered(&cfg, NO_PROBE, vec![cmd], &filter), Vec::new()),
-    };
-
-    let out_path = out.unwrap_or_else(|| {
-        let stamp = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        format!("BENCH_{stamp}.json")
-    });
-    write(&out_path, report.to_json().as_bytes())?;
-    println!("bench: wrote {out_path} ({} cells)", report.cells.len());
-
-    if !check {
-        return Ok(());
-    }
-    let baseline_path = baseline.expect("checked at parse time");
-    let baseline = loaded.expect("loaded above when --check is set");
-    if failures.is_empty() {
-        println!("bench: gate PASS against {baseline_path} ({} cells)", baseline.cells.len());
-        Ok(())
-    } else {
-        let mut msg = format!("bench: gate FAIL against {baseline_path} (after one retry pass):");
-        for failure in &failures {
-            msg.push_str(&format!("\n  {failure}"));
-        }
-        Err(msg)
-    }
 }
 
 /// Runs both CULZSS kernels over corpus samples under the shared-memory

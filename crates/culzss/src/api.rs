@@ -28,7 +28,7 @@ use culzss_lzss::format;
 
 use crate::error::CulzssResult;
 use crate::metered::select_records_into;
-use crate::params::{CulzssParams, Version};
+use crate::params::{header_config, CulzssParams, Version};
 use crate::pipeline::{BufferPool, PoolStats};
 use crate::{decompress, kernel_v1, kernel_v2, v3};
 
@@ -261,19 +261,7 @@ impl Culzss {
     /// process is identical in both versions".
     pub fn decompress_auto(&self, bytes: &[u8]) -> CulzssResult<(Vec<u8>, PipelineStats)> {
         let (container, payload_offset) = Container::parse(bytes)?;
-        if container.format_id != culzss_lzss::format::TokenFormat::Fixed16.id() {
-            return Err(culzss_lzss::Error::InvalidContainer {
-                reason: "not a CULZSS (Fixed16) stream".into(),
-            }
-            .into());
-        }
-        let config = culzss_lzss::LzssConfig {
-            window_size: container.window_size as usize,
-            min_match: usize::from(container.min_match),
-            max_match: container.max_match as usize,
-            format: culzss_lzss::format::TokenFormat::Fixed16,
-        };
-        config.validate()?;
+        let config = header_config(&container)?;
         self.decompress_parsed(bytes, container, payload_offset, config)
     }
 
@@ -296,19 +284,7 @@ impl Culzss {
         bytes: &[u8],
     ) -> CulzssResult<(Vec<u8>, PipelineStats, culzss_gpusim::sanitizer::SanitizerReport)> {
         let (container, payload_offset) = Container::parse(bytes)?;
-        if container.format_id != culzss_lzss::format::TokenFormat::Fixed16.id() {
-            return Err(culzss_lzss::Error::InvalidContainer {
-                reason: "not a CULZSS (Fixed16) stream".into(),
-            }
-            .into());
-        }
-        let config = culzss_lzss::LzssConfig {
-            window_size: container.window_size as usize,
-            min_match: usize::from(container.min_match),
-            max_match: container.max_match as usize,
-            format: culzss_lzss::format::TokenFormat::Fixed16,
-        };
-        config.validate()?;
+        let config = header_config(&container)?;
         let (out, stats, report) =
             self.decompress_inner(bytes, container, payload_offset, config, true)?;
         Ok((out, stats, report.expect("checked launch always yields a report")))

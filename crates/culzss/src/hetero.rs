@@ -10,43 +10,52 @@
 //! container — byte-identical to a pure-GPU run, which the tests pin
 //! down. The two engines' times combine as `max(cpu, gpu)` plus the
 //! serial merge.
+//!
+//! The CPU side is the workspace's one chunk-parallel CPU codec
+//! ([`encode_chunks`] / [`decode_container`]); the Pthread baseline runs
+//! the same loops with its own configuration and match finder.
 
 use std::time::Instant;
 
+use culzss_lzss::config::LzssConfig;
 use culzss_lzss::container::{assemble_with, stream_crc_of, Container};
+use culzss_lzss::error::{Error, Result};
+use culzss_lzss::matchfind::FinderKind;
 use culzss_lzss::serial;
 
 use crate::api::Culzss;
 use crate::error::CulzssResult;
 use crate::kernel_v1;
-use crate::params::CulzssParams;
+use crate::params::{header_config, CulzssParams};
 
-/// Compresses the per-chunk bodies of `input` on the host CPU with
-/// `threads` workers, using the identical per-chunk algorithm and token
-/// configuration as the V1 GPU kernel — each body is byte-identical to
-/// what the kernel would emit for that chunk. This is the CPU engine of
-/// [`HeteroCompressor`], exposed so fallback paths (e.g. a service
-/// degrading off a failed device) can produce wire-compatible streams.
+/// The chunk-parallel CPU encoder: cuts `input` into `chunk_size`-byte
+/// pieces and compresses them with `threads` workers, each owning a
+/// static contiguous range of chunks (the paper's Pthread scheme: one
+/// chunk per thread when `chunks == threads`). Matches never cross a
+/// chunk boundary, so the bodies depend on `chunk_size` but not on
+/// `threads`.
 ///
-/// Each worker drives one reusable [`serial::Tokenizer`] with the
-/// fastest exact finder for the configuration (the hash chain for every
-/// CULZSS preset), so the per-chunk loop neither allocates nor
-/// brute-force-scans — output stays byte-identical by the finder's
-/// longest-match/smallest-distance contract.
-pub fn cpu_compress_bodies(input: &[u8], params: &CulzssParams, threads: usize) -> Vec<Vec<u8>> {
-    let config = params.lzss_config();
-    let chunks: Vec<&[u8]> = input.chunks(params.chunk_size).collect();
+/// Each worker drives one reusable [`serial::Tokenizer`] with `finder`,
+/// so finder state and token buffer are recycled across its range.
+/// `chunk_size` must be positive.
+pub fn encode_chunks(
+    input: &[u8],
+    config: &LzssConfig,
+    chunk_size: usize,
+    threads: usize,
+    finder: FinderKind,
+) -> Vec<Vec<u8>> {
+    let chunks: Vec<&[u8]> = input.chunks(chunk_size).collect();
     let mut bodies: Vec<Vec<u8>> = vec![Vec::new(); chunks.len()];
-    if !bodies.is_empty() {
+    if !chunks.is_empty() {
         let threads = threads.clamp(1, chunks.len());
         let per_worker = chunks.len().div_ceil(threads);
         crossbeam::thread::scope(|scope| {
             for (chunk_range, body_range) in
                 chunks.chunks(per_worker).zip(bodies.chunks_mut(per_worker))
             {
-                let config = &config;
                 scope.spawn(move |_| {
-                    let mut tokenizer = serial::Tokenizer::new(config);
+                    let mut tokenizer = serial::Tokenizer::with_finder(config, finder);
                     for (chunk, body) in chunk_range.iter().zip(body_range.iter_mut()) {
                         tokenizer.compress_chunk_into(chunk, config, body);
                     }
@@ -56,6 +65,67 @@ pub fn cpu_compress_bodies(input: &[u8], params: &CulzssParams, threads: usize) 
         .expect("CPU compression worker panicked");
     }
     bodies
+}
+
+/// The chunk-parallel CPU decoder: decodes the chunks of a parsed
+/// container with `threads` workers over static ranges of the chunk
+/// table, then checks the total length and the stream CRC. `payload` is
+/// the container's bytes after the header and `config` the token
+/// configuration to decode with; checking it against the header is the
+/// caller's job.
+pub fn decode_container(
+    container: &Container,
+    payload: &[u8],
+    config: &LzssConfig,
+    threads: usize,
+) -> Result<Vec<u8>> {
+    container.verify_chunk_crcs(payload)?;
+    let layout = container.chunk_layout();
+    let mut pieces: Vec<Result<Vec<u8>>> = Vec::new();
+    pieces.resize_with(layout.len(), || Ok(Vec::new()));
+    if !layout.is_empty() {
+        let threads = threads.clamp(1, layout.len());
+        let per_worker = layout.len().div_ceil(threads);
+        crossbeam::thread::scope(|scope| {
+            for (jobs, outs) in layout.chunks(per_worker).zip(pieces.chunks_mut(per_worker)) {
+                scope.spawn(move |_| {
+                    for ((range, unc_len), out) in jobs.iter().zip(outs.iter_mut()) {
+                        *out = serial::decode_body(&payload[range.clone()], config, *unc_len);
+                    }
+                });
+            }
+        })
+        .expect("CPU decompression worker panicked");
+    }
+    let mut out = Vec::with_capacity(container.total_len as usize);
+    for piece in pieces {
+        out.extend_from_slice(&piece?);
+    }
+    if out.len() as u64 != container.total_len {
+        return Err(Error::SizeMismatch {
+            expected: container.total_len as usize,
+            actual: out.len(),
+        });
+    }
+    container.verify_stream_crc(&out)?;
+    Ok(out)
+}
+
+/// Compresses the per-chunk bodies of `input` on the host CPU with
+/// `threads` workers, using the identical per-chunk algorithm and token
+/// configuration as the V1 GPU kernel — each body is byte-identical to
+/// what the kernel would emit for that chunk. This is the CPU engine of
+/// [`HeteroCompressor`], exposed so fallback paths (e.g. a service
+/// degrading off a failed device) can produce wire-compatible streams.
+///
+/// It runs [`encode_chunks`] with the fastest exact finder for the
+/// configuration (the hash chain for every CULZSS preset), so the
+/// per-chunk loop neither allocates nor brute-force-scans — output stays
+/// byte-identical by the finder's longest-match/smallest-distance
+/// contract.
+pub fn cpu_compress_bodies(input: &[u8], params: &CulzssParams, threads: usize) -> Vec<Vec<u8>> {
+    let config = params.lzss_config();
+    encode_chunks(input, &config, params.chunk_size, threads, FinderKind::auto_exact(&config))
 }
 
 /// Pure-CPU compression into the standard container — byte-identical to
@@ -80,52 +150,8 @@ pub fn cpu_compress(input: &[u8], params: &CulzssParams, threads: usize) -> Culz
 /// host-side fallback when no device is available.
 pub fn cpu_decompress(bytes: &[u8], threads: usize) -> CulzssResult<Vec<u8>> {
     let (container, payload_offset) = Container::parse(bytes)?;
-    if container.format_id != culzss_lzss::format::TokenFormat::Fixed16.id() {
-        return Err(culzss_lzss::Error::InvalidContainer {
-            reason: "not a CULZSS (Fixed16) stream".into(),
-        }
-        .into());
-    }
-    let config = culzss_lzss::LzssConfig {
-        window_size: container.window_size as usize,
-        min_match: usize::from(container.min_match),
-        max_match: container.max_match as usize,
-        format: culzss_lzss::format::TokenFormat::Fixed16,
-    };
-    config.validate()?;
-    let payload = &bytes[payload_offset..];
-    container.verify_chunk_crcs(payload)?;
-    let layout = container.chunk_layout();
-    let mut pieces: Vec<culzss_lzss::error::Result<Vec<u8>>> = Vec::new();
-    pieces.resize_with(layout.len(), || Ok(Vec::new()));
-    if !layout.is_empty() {
-        let threads = threads.clamp(1, layout.len());
-        let per_worker = layout.len().div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
-            for (jobs, outs) in layout.chunks(per_worker).zip(pieces.chunks_mut(per_worker)) {
-                let config = &config;
-                scope.spawn(move |_| {
-                    for ((range, unc_len), out) in jobs.iter().zip(outs.iter_mut()) {
-                        *out = serial::decode_body(&payload[range.clone()], config, *unc_len);
-                    }
-                });
-            }
-        })
-        .expect("CPU decompression worker panicked");
-    }
-    let mut out = Vec::with_capacity(container.total_len as usize);
-    for piece in pieces {
-        out.extend_from_slice(&piece?);
-    }
-    if out.len() as u64 != container.total_len {
-        return Err(culzss_lzss::Error::SizeMismatch {
-            expected: container.total_len as usize,
-            actual: out.len(),
-        }
-        .into());
-    }
-    container.verify_stream_crc(&out)?;
-    Ok(out)
+    let config = header_config(&container)?;
+    Ok(decode_container(&container, &bytes[payload_offset..], &config, threads)?)
 }
 
 /// Timing summary of a heterogeneous run.
@@ -365,6 +391,39 @@ mod tests {
         let (_, stats) = HeteroCompressor::new(gpu(), 0.99, 2).compress(&input).unwrap();
         assert_eq!(stats.cpu_chunks, 40);
         assert_eq!(stats.gpu_chunks, 0);
+    }
+
+    fn codec_error<T>(result: CulzssResult<T>) -> Error {
+        match result {
+            Err(crate::CulzssError::Codec(e)) => e,
+            Err(other) => panic!("expected a codec error, got {other:?}"),
+            Ok(_) => panic!("decoder accepted a non-CULZSS header"),
+        }
+    }
+
+    #[test]
+    fn every_header_driven_decoder_applies_the_same_header_rule() {
+        use culzss_lzss::format::TokenFormat;
+        // A FlagBit stream, and a Fixed16 header whose window cannot
+        // fit Fixed16's 8-bit offsets.
+        let oversized_window = LzssConfig {
+            window_size: 512,
+            min_match: 3,
+            max_match: 18,
+            format: TokenFormat::Fixed16,
+        };
+        for (config, bad_config) in [(LzssConfig::dipperstein(), false), (oversized_window, true)] {
+            let bytes = Container::new(&config, 4096, 0).serialize_header();
+            let expected = crate::salvage::salvage(&bytes).unwrap_err();
+            if bad_config {
+                assert!(matches!(expected, Error::InvalidConfig { .. }), "{expected:?}");
+            } else {
+                assert!(matches!(expected, Error::InvalidContainer { .. }), "{expected:?}");
+            }
+            assert_eq!(codec_error(gpu().decompress_auto(&bytes)), expected);
+            assert_eq!(codec_error(gpu().decompress_auto_checked(&bytes)), expected);
+            assert_eq!(codec_error(cpu_decompress(&bytes, 2)), expected);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use culzss_gpusim::device::DeviceSpec;
 use culzss_lzss::config::LzssConfig;
-use culzss_lzss::container::ContainerVersion;
+use culzss_lzss::container::{Container, ContainerVersion};
 use culzss_lzss::format::TokenFormat;
 
 use crate::decompress::DecodeEngine;
@@ -205,6 +205,26 @@ impl CulzssParams {
         }
         Ok(())
     }
+}
+
+/// The token configuration a CULZSS container declares in its header —
+/// the rule every header-driven decoder shares: the stream must use the
+/// Fixed16 token format, and the window/match fields must form a valid
+/// [`LzssConfig`].
+pub(crate) fn header_config(container: &Container) -> culzss_lzss::error::Result<LzssConfig> {
+    if container.format_id != TokenFormat::Fixed16.id() {
+        return Err(culzss_lzss::Error::InvalidContainer {
+            reason: "not a CULZSS (Fixed16) stream".into(),
+        });
+    }
+    let config = LzssConfig {
+        window_size: container.window_size as usize,
+        min_match: usize::from(container.min_match),
+        max_match: container.max_match as usize,
+        format: TokenFormat::Fixed16,
+    };
+    config.validate()?;
+    Ok(config)
 }
 
 #[cfg(test)]

@@ -15,10 +15,11 @@
 //! the truncation removed; a v1 stream (no CRCs) can still be salvaged,
 //! but only structural decode failures are detectable.
 
-use culzss_lzss::config::LzssConfig;
 use culzss_lzss::container::Container;
 use culzss_lzss::error::Error;
 use culzss_lzss::serial;
+
+use crate::params::header_config;
 
 /// Why a chunk could not be recovered.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,16 +80,7 @@ impl SalvageReport {
 /// (bad magic, tampered header/table, truncated before the payload).
 pub fn salvage(bytes: &[u8]) -> culzss_lzss::error::Result<(Vec<u8>, SalvageReport)> {
     let (container, payload_offset) = Container::parse_lenient(bytes)?;
-    if container.format_id != culzss_lzss::format::TokenFormat::Fixed16.id() {
-        return Err(Error::InvalidContainer { reason: "not a CULZSS (Fixed16) stream".into() });
-    }
-    let config = LzssConfig {
-        window_size: container.window_size as usize,
-        min_match: usize::from(container.min_match),
-        max_match: container.max_match as usize,
-        format: culzss_lzss::format::TokenFormat::Fixed16,
-    };
-    config.validate()?;
+    let config = header_config(&container)?;
     let payload = &bytes[payload_offset.min(bytes.len())..];
 
     let mut out = Vec::with_capacity(container.total_len as usize);

@@ -78,13 +78,6 @@ impl DedupCompressor {
         Self { cache, chunker, params }
     }
 
-    /// Overrides the segment bounds (still normalized onto the
-    /// container grid).
-    pub fn with_chunker(mut self, chunker: Chunker) -> Self {
-        self.chunker = Chunker { align: self.params.chunk_size, ..chunker };
-        self
-    }
-
     /// The shared cache.
     pub fn cache(&self) -> &Arc<ChunkCache> {
         &self.cache

@@ -58,11 +58,6 @@ impl Cache {
         Cache::new(16 * 1024, 4, 128)
     }
 
-    /// Fermi L1 in the 48 KB configuration.
-    pub fn fermi_l1_48k() -> Cache {
-        Cache::new(48 * 1024, 6, 128)
-    }
-
     /// Touches `addr`; returns `true` on hit.
     pub fn access(&mut self, addr: u64) -> bool {
         self.clock += 1;

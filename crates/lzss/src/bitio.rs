@@ -81,11 +81,6 @@ impl BitWriter {
         self.bytes.len() * 8 + usize::from(self.used)
     }
 
-    /// Returns true if no bits have been written.
-    pub fn is_empty(&self) -> bool {
-        self.bit_len() == 0
-    }
-
     /// Flushes the partial byte (zero-padded on the right) and returns the
     /// accumulated bytes.
     pub fn finish(mut self) -> Vec<u8> {
@@ -108,12 +103,6 @@ impl<'a> BitReader<'a> {
     /// Wraps `bytes` for bit-level reading.
     pub fn new(bytes: &'a [u8]) -> Self {
         Self { bytes, pos: 0 }
-    }
-
-    /// True when every bit has been consumed (trailing zero padding counts
-    /// as unread bits; callers decide whether that is acceptable).
-    pub fn is_exhausted(&self) -> bool {
-        self.pos == self.bytes.len() * 8
     }
 
     /// Reads one bit.
@@ -214,7 +203,7 @@ mod tests {
     #[test]
     fn bit_len_and_remaining_track_positions() {
         let mut w = BitWriter::new();
-        assert!(w.is_empty());
+        assert_eq!(w.bit_len(), 0);
         w.write_bits(0b101, 3);
         assert_eq!(w.bit_len(), 3);
         w.write_bits(0x1F, 5);
@@ -222,10 +211,9 @@ mod tests {
         let bytes = w.finish();
 
         let mut r = BitReader::new(&bytes);
-        r.read_bits(5, "x").unwrap();
-        assert!(!r.is_exhausted());
-        r.read_bits(3, "x").unwrap();
-        assert!(r.is_exhausted());
+        assert_eq!(r.read_bits(5, "x").unwrap(), 0b10111);
+        assert_eq!(r.read_bits(3, "x").unwrap(), 0b111);
+        assert!(r.read_bit("x").is_err());
     }
 
     #[test]

@@ -59,8 +59,6 @@ pub const MAGIC: [u8; 4] = *b"CLZC";
 pub const VERSION_V1: u8 = 1;
 /// The checksummed container version.
 pub const VERSION_V2: u8 = 2;
-/// Current default container version.
-pub const VERSION: u8 = VERSION_V2;
 
 /// Which container version to emit when assembling a stream.
 ///

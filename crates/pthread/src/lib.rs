@@ -7,22 +7,26 @@
 //! thread compresses the given data, individual compressed chunks are
 //! reassembled to form the final output."
 //!
-//! This crate reproduces that design with OS threads (crossbeam's scoped
-//! threads over `std::thread`): the input is split into chunks, worker
-//! threads own static contiguous ranges of chunks (exactly the paper's
-//! one-chunk-per-thread scheme when `chunks == threads`), each chunk is
-//! compressed independently with the serial LZSS codec, and the pieces are
-//! reassembled into the shared [`culzss_lzss::container`] format — which is
-//! also what enables parallel decompression.
+//! This crate reproduces that design on the chunk-parallel CPU codec that
+//! the CULZSS heterogeneous engine also runs
+//! ([`culzss::hetero::encode_chunks`] /
+//! [`culzss::hetero::decode_container`]): the input is split into chunks,
+//! worker threads own static contiguous ranges of chunks (exactly the
+//! paper's one-chunk-per-thread scheme when `chunks == threads`), each
+//! chunk is compressed independently with the serial LZSS codec, and the
+//! pieces are reassembled into the shared [`culzss_lzss::container`]
+//! format — which is also what enables parallel decompression. Unlike
+//! the CULZSS engine, this baseline keeps the paper's straightforward
+//! brute-force match search and takes any [`LzssConfig`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use culzss::hetero::{decode_container, encode_chunks};
 use culzss_lzss::config::LzssConfig;
 use culzss_lzss::container::{assemble_with, stream_crc_of, Container, ContainerVersion};
 use culzss_lzss::error::{Error, Result};
 use culzss_lzss::matchfind::FinderKind;
-use culzss_lzss::serial;
 
 /// Number of worker threads matching the paper's testbed spirit: all
 /// hardware threads of the host.
@@ -40,32 +44,29 @@ pub fn compress(input: &[u8], config: &LzssConfig, threads: usize) -> Result<Vec
 
 /// Chunked compression with an explicit chunk size: `input` is cut into
 /// `chunk_size`-byte pieces, `threads` workers compress static contiguous
-/// ranges of them, and the bodies are assembled into a container. Matches
-/// never cross chunk boundaries, exactly as in the paper (each piece is
-/// independent).
+/// ranges of them with the brute-force finder, and the bodies are
+/// assembled into a container. Matches never cross chunk boundaries,
+/// exactly as in the paper (each piece is independent).
 pub fn compress_chunked(
     input: &[u8],
     config: &LzssConfig,
     chunk_size: usize,
     threads: usize,
 ) -> Result<Vec<u8>> {
-    compress_chunked_with(input, config, chunk_size, threads, FinderKind::BruteForce)
+    compress_chunked_versioned(
+        input,
+        config,
+        chunk_size,
+        threads,
+        FinderKind::BruteForce,
+        Default::default(),
+    )
 }
 
-/// [`compress_chunked`] with an explicit match-finder strategy.
-pub fn compress_chunked_with(
-    input: &[u8],
-    config: &LzssConfig,
-    chunk_size: usize,
-    threads: usize,
-    finder: FinderKind,
-) -> Result<Vec<u8>> {
-    compress_chunked_versioned(input, config, chunk_size, threads, finder, Default::default())
-}
-
-/// [`compress_chunked_with`] with an explicit container version — the
-/// full-control entry point. [`ContainerVersion::V1`] emits the
-/// checksum-free legacy layout byte-for-byte.
+/// [`compress_chunked`] with an explicit match-finder strategy and
+/// container version — the full-control entry point.
+/// [`ContainerVersion::V1`] emits the checksum-free legacy layout
+/// byte-for-byte.
 pub fn compress_chunked_versioned(
     input: &[u8],
     config: &LzssConfig,
@@ -81,28 +82,7 @@ pub fn compress_chunked_versioned(
     if chunk_size > u32::MAX as usize {
         return Err(Error::InvalidConfig { reason: "chunk_size must fit in u32".into() });
     }
-    let chunks: Vec<&[u8]> = input.chunks(chunk_size).collect();
-    let mut bodies: Vec<Vec<u8>> = vec![Vec::new(); chunks.len()];
-
-    if !chunks.is_empty() {
-        let threads = threads.clamp(1, chunks.len());
-        let per_worker = chunks.len().div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
-            for (chunk_range, body_range) in
-                chunks.chunks(per_worker).zip(bodies.chunks_mut(per_worker))
-            {
-                scope.spawn(move |_| {
-                    // One tokenizer per worker: finder state and token
-                    // buffer are recycled across the worker's chunk range.
-                    let mut tokenizer = serial::Tokenizer::with_finder(config, finder);
-                    for (chunk, body) in chunk_range.iter().zip(body_range.iter_mut()) {
-                        tokenizer.compress_chunk_into(chunk, config, body);
-                    }
-                });
-            }
-        })
-        .expect("compression worker panicked");
-    }
+    let bodies = encode_chunks(input, config, chunk_size, threads, finder);
     assemble_with(
         config,
         chunk_size as u32,
@@ -118,44 +98,13 @@ pub fn decompress(bytes: &[u8], config: &LzssConfig, threads: usize) -> Result<V
     config.validate()?;
     let (container, payload_offset) = Container::parse(bytes)?;
     container.check_config(config)?;
-    let payload = &bytes[payload_offset..];
-    container.verify_chunk_crcs(payload)?;
-    let layout = container.chunk_layout();
-
-    let mut pieces: Vec<Result<Vec<u8>>> = Vec::new();
-    pieces.resize_with(layout.len(), || Ok(Vec::new()));
-    if !layout.is_empty() {
-        let threads = threads.clamp(1, layout.len());
-        let per_worker = layout.len().div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
-            for (jobs, outs) in layout.chunks(per_worker).zip(pieces.chunks_mut(per_worker)) {
-                scope.spawn(move |_| {
-                    for ((range, unc_len), out) in jobs.iter().zip(outs.iter_mut()) {
-                        *out = serial::decode_body(&payload[range.clone()], config, *unc_len);
-                    }
-                });
-            }
-        })
-        .expect("decompression worker panicked");
-    }
-
-    let mut out = Vec::with_capacity(container.total_len as usize);
-    for piece in pieces {
-        out.extend_from_slice(&piece?);
-    }
-    if out.len() as u64 != container.total_len {
-        return Err(Error::SizeMismatch {
-            expected: container.total_len as usize,
-            actual: out.len(),
-        });
-    }
-    container.verify_stream_crc(&out)?;
-    Ok(out)
+    decode_container(&container, &bytes[payload_offset..], config, threads)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use culzss_lzss::serial;
 
     fn sample() -> Vec<u8> {
         b"a man a plan a canal panama ".repeat(300)
@@ -237,11 +186,11 @@ mod tests {
     }
 
     #[test]
-    fn both_container_versions_roundtrip_and_v2_detects_flips() {
+    fn both_container_versions_and_finders_roundtrip_and_v2_detects_flips() {
         let config = LzssConfig::dipperstein();
         let input = sample();
         for version in [ContainerVersion::V1, ContainerVersion::V2] {
-            let c = compress_chunked_versioned(
+            let brute = compress_chunked_versioned(
                 &input,
                 &config,
                 2048,
@@ -250,7 +199,18 @@ mod tests {
                 version,
             )
             .unwrap();
-            assert_eq!(decompress(&c, &config, 4).unwrap(), input, "{version:?}");
+            assert_eq!(decompress(&brute, &config, 4).unwrap(), input, "{version:?}");
+            // An exact finder keeps the bytes: longest match, smallest distance.
+            let hashed = compress_chunked_versioned(
+                &input,
+                &config,
+                2048,
+                4,
+                FinderKind::HashChain,
+                version,
+            )
+            .unwrap();
+            assert_eq!(hashed, brute, "{version:?}");
         }
         // Default emission carries CRCs: a payload flip is a typed error.
         let mut c = compress_chunked(&input, &config, 2048, 4).unwrap();
@@ -260,94 +220,5 @@ mod tests {
             decompress(&c, &config, 4).unwrap_err(),
             Error::Corrupt { .. } | Error::HeaderCorrupt { .. }
         ));
-    }
-
-    #[test]
-    fn hash_chain_variant_roundtrips() {
-        let config = LzssConfig::dipperstein();
-        let input = sample();
-        let c = compress_chunked_with(&input, &config, 2048, 4, FinderKind::HashChain).unwrap();
-        assert_eq!(decompress(&c, &config, 4).unwrap(), input);
-    }
-}
-
-/// Dynamically scheduled variant: workers pull chunks from a shared
-/// queue (the PBZIP2-style producer/consumer arrangement the paper's
-/// related-work section cites) instead of owning static ranges. Output
-/// is byte-identical to [`compress_chunked`]; only load balance differs,
-/// which matters when chunk costs vary wildly (e.g. mixed traffic).
-pub fn compress_chunked_dynamic(
-    input: &[u8],
-    config: &LzssConfig,
-    chunk_size: usize,
-    threads: usize,
-) -> Result<Vec<u8>> {
-    config.validate()?;
-    if chunk_size == 0 {
-        return Err(Error::InvalidConfig { reason: "chunk_size must be positive".into() });
-    }
-    if chunk_size > u32::MAX as usize {
-        return Err(Error::InvalidConfig { reason: "chunk_size must fit in u32".into() });
-    }
-    let chunks: Vec<&[u8]> = input.chunks(chunk_size).collect();
-    let slots: Vec<std::sync::Mutex<Vec<u8>>> =
-        (0..chunks.len()).map(|_| std::sync::Mutex::new(Vec::new())).collect();
-
-    if !chunks.is_empty() {
-        let threads = threads.clamp(1, chunks.len());
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|_| {
-                    let mut tokenizer =
-                        serial::Tokenizer::with_finder(config, FinderKind::BruteForce);
-                    let mut body = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if idx >= chunks.len() {
-                            break;
-                        }
-                        tokenizer.compress_chunk_into(chunks[idx], config, &mut body);
-                        *slots[idx].lock().expect("slot lock") = std::mem::take(&mut body);
-                    }
-                });
-            }
-        })
-        .expect("compression worker panicked");
-    }
-    let bodies: Vec<Vec<u8>> =
-        slots.into_iter().map(|m| m.into_inner().expect("slot lock")).collect();
-    assemble_with(
-        config,
-        chunk_size as u32,
-        input.len() as u64,
-        stream_crc_of(input, chunk_size as u32),
-        &bodies,
-        Default::default(),
-    )
-}
-
-#[cfg(test)]
-mod dynamic_tests {
-    use super::*;
-
-    #[test]
-    fn dynamic_equals_static_output() {
-        let config = LzssConfig::dipperstein();
-        let input = b"dynamic scheduling must not change bytes ".repeat(400);
-        let stat = compress_chunked(&input, &config, 2048, 3).unwrap();
-        let dyn_ = compress_chunked_dynamic(&input, &config, 2048, 3).unwrap();
-        assert_eq!(stat, dyn_);
-        assert_eq!(decompress(&dyn_, &config, 3).unwrap(), input);
-    }
-
-    #[test]
-    fn dynamic_handles_edge_inputs() {
-        let config = LzssConfig::dipperstein();
-        for input in [&b""[..], b"x", b"tiny chunked input"] {
-            let c = compress_chunked_dynamic(input, &config, 7, 5).unwrap();
-            assert_eq!(decompress(&c, &config, 5).unwrap(), input);
-        }
-        assert!(compress_chunked_dynamic(b"abc", &config, 0, 2).is_err());
     }
 }
