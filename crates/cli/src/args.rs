@@ -224,7 +224,8 @@ pub enum Command {
         /// Load-generator seed.
         seed: u64,
     },
-    /// Run both CULZSS kernels under the shared-memory sanitizer.
+    /// Run all three CULZSS kernels and both decode engines under the
+    /// shared-memory sanitizer.
     Sancheck {
         /// Dataset slug, or "all" for the five evaluation corpora.
         dataset: String,

@@ -713,8 +713,9 @@ fn bench_serve(jobs: usize, payload: usize, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs both CULZSS kernels over corpus samples under the shared-memory
-/// sanitizer; errors (nonzero exit) on any conflict or divergence.
+/// Runs all three CULZSS kernels and both decode engines over corpus
+/// samples under the shared-memory sanitizer; errors (nonzero exit) on
+/// any conflict or divergence.
 fn sancheck(dataset: &str, bytes: usize, seed: u64) -> Result<(), String> {
     let corpora: Vec<culzss_datasets::Dataset> = if dataset == "all" {
         culzss_datasets::Dataset::ALL.to_vec()

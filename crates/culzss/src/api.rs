@@ -139,6 +139,16 @@ impl Culzss {
         self
     }
 
+    /// Arms the shared-memory sanitizer on the underlying simulator (see
+    /// [`GpuSim::with_sanitizer`]): every compress and decompress launch
+    /// then reports its racecheck verdict in
+    /// [`PipelineStats::launch`]'s `sanitizer`, with outputs and every
+    /// other statistic unchanged.
+    pub fn with_sanitizer(mut self) -> Self {
+        self.sim = self.sim.with_sanitizer();
+        self
+    }
+
     /// Selects the decompression kernel for this instance (see
     /// [`crate::decompress::DecodeEngine`]; the default stays the serial
     /// block decoder).
@@ -155,6 +165,17 @@ impl Culzss {
     /// The simulated device.
     pub fn device(&self) -> &DeviceSpec {
         self.sim.device()
+    }
+
+    /// The simulator every launch of this instance runs on, with its
+    /// worker count, fault model and sanitizer.
+    pub(crate) fn sim(&self) -> &GpuSim {
+        &self.sim
+    }
+
+    /// The scratch-buffer pool shared by this instance's clones.
+    pub(crate) fn pool(&self) -> &BufferPool {
+        &self.pool
     }
 
     /// Reuse counters of the shared scratch-buffer pool (see
@@ -252,7 +273,7 @@ impl Culzss {
         let config = self.params.lzss_config();
         let (container, payload_offset) = Container::parse(bytes)?;
         container.check_config(&config)?;
-        self.decompress_parsed(bytes, container, payload_offset, config)
+        self.decompress_inner(bytes, container, payload_offset, config)
     }
 
     /// Decompresses any CULZSS container regardless of which version (or
@@ -262,7 +283,7 @@ impl Culzss {
     pub fn decompress_auto(&self, bytes: &[u8]) -> CulzssResult<(Vec<u8>, PipelineStats)> {
         let (container, payload_offset) = Container::parse(bytes)?;
         let config = header_config(&container)?;
-        self.decompress_parsed(bytes, container, payload_offset, config)
+        self.decompress_inner(bytes, container, payload_offset, config)
     }
 
     /// Salvage-decodes a (possibly corrupted) container: every intact
@@ -276,41 +297,13 @@ impl Culzss {
         Ok(crate::salvage::salvage(bytes)?)
     }
 
-    /// [`Culzss::decompress_auto`] under the shared-memory sanitizer:
-    /// identical output and stats, plus the racecheck verdict for the
-    /// decode kernel launch (see [`crate::sancheck`]).
-    pub fn decompress_auto_checked(
-        &self,
-        bytes: &[u8],
-    ) -> CulzssResult<(Vec<u8>, PipelineStats, culzss_gpusim::sanitizer::SanitizerReport)> {
-        let (container, payload_offset) = Container::parse(bytes)?;
-        let config = header_config(&container)?;
-        let (out, stats, report) =
-            self.decompress_inner(bytes, container, payload_offset, config, true)?;
-        Ok((out, stats, report.expect("checked launch always yields a report")))
-    }
-
-    fn decompress_parsed(
-        &self,
-        bytes: &[u8],
-        container: Container,
-        payload_offset: usize,
-        config: culzss_lzss::LzssConfig,
-    ) -> CulzssResult<(Vec<u8>, PipelineStats)> {
-        let (out, stats, _) =
-            self.decompress_inner(bytes, container, payload_offset, config, false)?;
-        Ok((out, stats))
-    }
-
     fn decompress_inner(
         &self,
         bytes: &[u8],
         container: Container,
         payload_offset: usize,
         config: culzss_lzss::LzssConfig,
-        checked: bool,
-    ) -> CulzssResult<(Vec<u8>, PipelineStats, Option<culzss_gpusim::sanitizer::SanitizerReport>)>
-    {
+    ) -> CulzssResult<(Vec<u8>, PipelineStats)> {
         let payload = &bytes[payload_offset..];
         // v2 streams: reject damaged bodies before spending kernel time on
         // them (v1 has no CRCs; structural decode errors still surface).
@@ -321,28 +314,14 @@ impl Culzss {
         let mut ledger = TransferLedger::default();
         let h2d = ledger.copy(device, Direction::HostToDevice, bytes.len());
 
-        let engine = self.params.decode_engine;
-        let (chunks, launch, sanitizer) = if checked {
-            let (chunks, launch, report) = decompress::run_checked_with_engine(
-                &self.sim,
-                payload,
-                &layout,
-                &config,
-                self.params.threads_per_block,
-                engine,
-            )?;
-            (chunks, launch, Some(report))
-        } else {
-            let (chunks, launch) = decompress::run_with_engine(
-                &self.sim,
-                payload,
-                &layout,
-                &config,
-                self.params.threads_per_block,
-                engine,
-            )?;
-            (chunks, launch, None)
-        };
+        let (chunks, launch) = decompress::run_with_engine(
+            &self.sim,
+            payload,
+            &layout,
+            &config,
+            self.params.threads_per_block,
+            self.params.decode_engine,
+        )?;
         let d2h = ledger.copy(device, Direction::DeviceToHost, container.total_len as usize);
 
         let started = Instant::now();
@@ -374,7 +353,7 @@ impl Culzss {
             input_bytes: bytes.len(),
             output_bytes: out.len(),
         };
-        Ok((out, stats, sanitizer))
+        Ok((out, stats))
     }
 }
 

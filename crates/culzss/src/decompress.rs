@@ -25,8 +25,7 @@
 
 use std::cell::RefCell;
 
-use culzss_gpusim::exec::{BlockCtx, BlockKernel, LaunchError, LaunchStats, ThreadCtx};
-use culzss_gpusim::sanitizer::SanitizerReport;
+use culzss_gpusim::exec::{BlockCtx, BlockKernel, LaunchStats, ThreadCtx};
 use culzss_gpusim::{DeviceSpec, GpuSim, LaunchConfig};
 use culzss_lzss::config::LzssConfig;
 use culzss_lzss::error::Error;
@@ -313,7 +312,7 @@ fn copy_match(t: &mut ThreadCtx, token: Token, offset: usize, out_base: u64) {
 /// [scan ping: 2 B/group][scan pong: 2 B/group][staged output: unc_len B]
 /// ```
 ///
-/// Every staging access is logged exactly so checked launches racecheck
+/// Every staging access is logged exactly so armed launches racecheck
 /// the full discipline: writes are partitioned by token (pass 1), by
 /// output byte (pass 2), and reads only touch bytes resolved in an
 /// earlier phase — or the lane's own in-flight copy for overlapping
@@ -525,7 +524,7 @@ pub fn warp_engine_fits(device: &DeviceSpec, layout: &[(std::ops::Range<usize>, 
 
 /// Runs GPU decompression over a parsed container payload with the
 /// selected engine, returning the decoded chunks in order plus launch
-/// statistics.
+/// statistics (with the sanitizer's verdict when `sim` is armed).
 pub fn run_with_engine(
     sim: &GpuSim,
     payload: &[u8],
@@ -534,98 +533,21 @@ pub fn run_with_engine(
     threads_per_block: usize,
     engine: DecodeEngine,
 ) -> Result<(Vec<Vec<u8>>, LaunchStats), crate::error::CulzssError> {
-    let (chunks, stats, _) =
-        run_engine(sim, payload, layout, config, threads_per_block, engine, false)?;
-    Ok((chunks, stats))
-}
-
-/// [`run_with_engine`] under the shared-memory sanitizer: identical
-/// outputs and metrics, plus the racecheck verdict.
-pub fn run_checked_with_engine(
-    sim: &GpuSim,
-    payload: &[u8],
-    layout: &[(std::ops::Range<usize>, usize)],
-    config: &LzssConfig,
-    threads_per_block: usize,
-    engine: DecodeEngine,
-) -> Result<(Vec<Vec<u8>>, LaunchStats, SanitizerReport), crate::error::CulzssError> {
-    let (chunks, stats, sanitizer) =
-        run_engine(sim, payload, layout, config, threads_per_block, engine, true)?;
-    Ok((chunks, stats, sanitizer.expect("a checked launch reports")))
-}
-
-/// The one engine dispatch behind [`run_with_engine`] and
-/// [`run_checked_with_engine`]; the sanitizer report is `Some` exactly
-/// when `checked`.
-fn run_engine(
-    sim: &GpuSim,
-    payload: &[u8],
-    layout: &[(std::ops::Range<usize>, usize)],
-    config: &LzssConfig,
-    threads_per_block: usize,
-    engine: DecodeEngine,
-    checked: bool,
-) -> Result<Launched<Vec<u8>>, crate::error::CulzssError> {
     let config = config.clone();
-    let (outputs, stats, sanitizer) = match effective_engine(engine, sim.device(), layout) {
-        DecodeEngine::Serial => launch(
-            sim,
-            LaunchConfig::new(layout.len(), threads_per_block),
-            &DecompressKernel { payload, layout, config },
-            checked,
-        )?,
-        DecodeEngine::WarpParallel => launch(
-            sim,
+    // Oversized chunks fall back to the serial engine (see
+    // [`warp_engine_fits`]).
+    let result = match engine {
+        DecodeEngine::WarpParallel if warp_engine_fits(sim.device(), layout) => sim.launch(
             warp_launch_config(layout, threads_per_block),
             &WarpDecompressKernel { payload, layout, config },
-            checked,
+        )?,
+        _ => sim.launch(
+            LaunchConfig::new(layout.len(), threads_per_block),
+            &DecompressKernel { payload, layout, config },
         )?,
     };
-    collect(outputs).map(|chunks| (chunks, stats, sanitizer))
-}
-
-/// Per-block outputs, launch statistics and, on checked launches, the
-/// sanitizer report.
-type Launched<R> = (Vec<R>, LaunchStats, Option<SanitizerReport>);
-
-/// Launches `kernel`, under the sanitizer when `checked`.
-fn launch<K: BlockKernel>(
-    sim: &GpuSim,
-    cfg: LaunchConfig,
-    kernel: &K,
-    checked: bool,
-) -> Result<Launched<K::Output>, LaunchError> {
-    Ok(if checked {
-        let result = sim.launch_checked(cfg, kernel)?;
-        (result.outputs, result.stats, Some(result.sanitizer))
-    } else {
-        let result = sim.launch(cfg, kernel)?;
-        (result.outputs, result.stats, None)
-    })
-}
-
-fn effective_engine(
-    engine: DecodeEngine,
-    device: &DeviceSpec,
-    layout: &[(std::ops::Range<usize>, usize)],
-) -> DecodeEngine {
-    match engine {
-        DecodeEngine::WarpParallel if warp_engine_fits(device, layout) => {
-            DecodeEngine::WarpParallel
-        }
-        DecodeEngine::WarpParallel => DecodeEngine::Serial,
-        DecodeEngine::Serial => DecodeEngine::Serial,
-    }
-}
-
-fn collect(
-    outputs: Vec<Result<Vec<u8>, Error>>,
-) -> Result<Vec<Vec<u8>>, crate::error::CulzssError> {
-    let mut chunks = Vec::with_capacity(outputs.len());
-    for block in outputs {
-        chunks.push(block.map_err(crate::error::CulzssError::Codec)?);
-    }
-    Ok(chunks)
+    let chunks = result.outputs.into_iter().collect::<Result<Vec<_>, Error>>()?;
+    Ok((chunks, result.stats))
 }
 
 #[cfg(test)]
@@ -752,8 +674,8 @@ mod tests {
         let mut input = vec![b'z'; 6000];
         input.extend_from_slice(&b"mixed tail with its own matches, matches, matches".repeat(40));
         let (payload, layout) = chunked(&input, &params);
-        let (chunks, _, sanitizer) = run_checked_with_engine(
-            &sim(),
+        let (chunks, stats) = run_with_engine(
+            &sim().with_sanitizer(),
             &payload,
             &layout,
             &config,
@@ -761,6 +683,7 @@ mod tests {
             DecodeEngine::WarpParallel,
         )
         .unwrap();
+        let sanitizer = stats.sanitizer.expect("an armed launch reports");
         assert!(sanitizer.is_clean(), "{sanitizer}");
         assert!(sanitizer.checked_accesses > 0);
         assert_eq!(chunks.concat(), input);
@@ -857,17 +780,17 @@ mod tests {
         layout: &[(std::ops::Range<usize>, usize)],
         config: &LzssConfig,
     ) {
-        let sim = sim();
+        let sim = sim().with_sanitizer();
         let kernel = || WarpDecompressKernel { payload, layout, config: config.clone() };
         let cfg = warp_launch_config(layout, 128);
-        let bucketed = sim.launch_checked(cfg, &kernel()).unwrap();
-        let rescan = sim.launch_checked(cfg, &RescanKernel(kernel())).unwrap();
+        let bucketed = sim.launch(cfg, &kernel()).unwrap();
+        let rescan = sim.launch(cfg, &RescanKernel(kernel())).unwrap();
         assert_eq!(bucketed.outputs, rescan.outputs, "{what}: outputs");
         assert_eq!(bucketed.stats.per_block, rescan.stats.per_block, "{what}: per-block metrics");
-        assert_eq!(bucketed.sanitizer, rescan.sanitizer, "{what}: sanitizer reports");
+        assert_eq!(bucketed.stats.sanitizer, rescan.stats.sanitizer, "{what}: sanitizer reports");
         // The scratch is reused across launches too: a second launch on
         // warm tables must observe the same.
-        let again = sim.launch_checked(cfg, &kernel()).unwrap();
+        let again = sim.launch(cfg, &kernel()).unwrap();
         assert_eq!(again.outputs, rescan.outputs, "{what}: outputs on warm scratch");
         assert_eq!(again.stats.per_block, rescan.stats.per_block, "{what}: warm metrics");
     }

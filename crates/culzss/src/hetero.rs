@@ -26,7 +26,7 @@ use culzss_lzss::serial;
 use crate::api::Culzss;
 use crate::error::CulzssResult;
 use crate::kernel_v1;
-use crate::params::{header_config, CulzssParams};
+use crate::params::{header_config, CulzssParams, Version};
 
 /// The chunk-parallel CPU encoder: cuts `input` into `chunk_size`-byte
 /// pieces and compresses them with `threads` workers, each owning a
@@ -131,6 +131,7 @@ pub fn cpu_compress_bodies(input: &[u8], params: &CulzssParams, threads: usize) 
 /// Pure-CPU compression into the standard container — byte-identical to
 /// a pure-GPU V1 run with the same `params`.
 pub fn cpu_compress(input: &[u8], params: &CulzssParams, threads: usize) -> CulzssResult<Vec<u8>> {
+    params.validate_chunk_size()?;
     let config = params.lzss_config();
     config.validate()?;
     let bodies = cpu_compress_bodies(input, params, threads);
@@ -202,20 +203,21 @@ impl HeteroCompressor {
     /// sets the share so both engines finish together
     /// (`cpu/(cpu+gpu) = tput_cpu/(tput_cpu+tput_gpu)`).
     pub fn auto_balance(mut self, sample: &[u8]) -> CulzssResult<Self> {
+        let params = self.v1_params()?;
         if sample.is_empty() {
             return Ok(self);
         }
         // Probe CPU throughput (same tokenizer the workers use).
         let started = Instant::now();
-        let config = self.culzss.params().lzss_config();
+        let config = params.lzss_config();
         let mut tokenizer = serial::Tokenizer::new(&config);
-        for chunk in sample.chunks(self.culzss.params().chunk_size) {
+        for chunk in sample.chunks(params.chunk_size) {
             std::hint::black_box(tokenizer.tokenize(chunk, &config));
         }
         let cpu_seconds = started.elapsed().as_secs_f64().max(1e-9);
         // Probe GPU throughput (modelled, same bytes).
-        let sim = culzss_gpusim::GpuSim::new(self.culzss.device().clone());
-        let (_, launch) = kernel_v1::run(&sim, sample, self.culzss.params())?;
+        let (bodies, launch) = self.run_gpu(sample)?;
+        self.culzss.pool().release_all_bytes(bodies);
         let device = self.culzss.device();
         let gpu_seconds =
             (launch.cost.work_cycles / device.sm_count as f64 / device.clock_hz).max(1e-9);
@@ -229,9 +231,10 @@ impl HeteroCompressor {
     ///
     /// Only V1 parameters are supported (the GPU side runs the per-chunk
     /// kernel; V2's match arrays would come back to the CPU anyway, which
-    /// makes heterogeneous splitting pointless there).
+    /// makes heterogeneous splitting pointless there); other versions
+    /// are refused with [`CulzssError::InvalidParams`](crate::CulzssError).
     pub fn compress(&self, input: &[u8]) -> CulzssResult<(Vec<u8>, HeteroStats)> {
-        let params = self.culzss.params().clone();
+        let params = self.v1_params()?;
         let config = params.lzss_config();
         params.validate(self.culzss.device())?;
 
@@ -245,15 +248,14 @@ impl HeteroCompressor {
         // CPU side: identical per-chunk algorithm, measured, threaded
         // over static ranges like the Pthread baseline.
         let cpu_started = Instant::now();
-        let cpu_bodies = cpu_compress_bodies(cpu_part, &params, self.cpu_threads);
+        let cpu_bodies = cpu_compress_bodies(cpu_part, params, self.cpu_threads);
         let cpu_seconds = cpu_started.elapsed().as_secs_f64();
 
         // GPU side: the V1 kernel over the remaining chunks.
         let (gpu_bodies, gpu_seconds) = if gpu_part.is_empty() {
             (Vec::new(), 0.0)
         } else {
-            let sim = culzss_gpusim::GpuSim::new(self.culzss.device().clone());
-            let (bodies, launch) = kernel_v1::run(&sim, gpu_part, &params)?;
+            let (bodies, launch) = self.run_gpu(gpu_part)?;
             let device = self.culzss.device();
             let transfers = culzss_gpusim::transfer::transfer_seconds(device, gpu_part.len())
                 + culzss_gpusim::transfer::transfer_seconds(
@@ -276,18 +278,42 @@ impl HeteroCompressor {
             &bodies,
             params.container_version,
         )?;
+        let cpu_chunks = bodies.len() - gpu_count;
+        self.culzss.pool().release_all_bytes(bodies);
         let merge_seconds = merge_started.elapsed().as_secs_f64();
 
         Ok((
             stream,
             HeteroStats {
-                cpu_chunks: bodies.len() - gpu_count,
+                cpu_chunks,
                 gpu_chunks: gpu_count,
                 cpu_seconds,
                 gpu_seconds,
                 merge_seconds,
             },
         ))
+    }
+
+    /// The wrapped instance's parameters, which must be V1's.
+    fn v1_params(&self) -> CulzssResult<&CulzssParams> {
+        let params = self.culzss.params();
+        if params.version != Version::V1 {
+            return Err(crate::CulzssError::InvalidParams(format!(
+                "heterogeneous compression runs the V1 kernel, not {:?}",
+                params.version
+            )));
+        }
+        Ok(params)
+    }
+
+    /// The V1 kernel over `input` on the wrapped instance's simulator and
+    /// buffer pool, so its workers, fault model and sanitizer apply.
+    fn run_gpu(
+        &self,
+        input: &[u8],
+    ) -> CulzssResult<(Vec<Vec<u8>>, culzss_gpusim::exec::LaunchStats)> {
+        let culzss = &self.culzss;
+        Ok(kernel_v1::run_pooled(culzss.sim(), input, culzss.params(), culzss.pool())?)
     }
 }
 
@@ -393,6 +419,54 @@ mod tests {
         assert_eq!(stats.gpu_chunks, 0);
     }
 
+    #[test]
+    fn the_gpu_share_runs_on_the_wrapped_instances_simulator() {
+        use culzss_gpusim::{DeviceFaultConfig, DeviceFaultModel, FaultKind};
+        let input = Dataset::CFiles.generate(64 * 1024, 35);
+        let dead = DeviceFaultModel::new(DeviceFaultConfig::new(3).dead_at(0, None));
+        let hetero = HeteroCompressor::new(gpu().with_fault_model(dead), 0.5, 2);
+        let err = hetero.compress(&input).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                crate::CulzssError::Launch(culzss_gpusim::exec::LaunchError::DeviceFault {
+                    kind: FaultKind::Dead,
+                    launch_index: 0
+                })
+            ),
+            "{err:?}"
+        );
+        // With no GPU share there is no launch to fail.
+        let dead = DeviceFaultModel::new(DeviceFaultConfig::new(3).dead_at(0, None));
+        let all_cpu = HeteroCompressor::new(gpu().with_fault_model(dead), 1.0, 2);
+        assert_eq!(all_cpu.compress(&input).unwrap().1.gpu_chunks, 0);
+    }
+
+    #[test]
+    fn non_v1_parameters_are_refused() {
+        let input = Dataset::CFiles.generate(16 * 1024, 37);
+        for version in [Version::V2, Version::V3] {
+            let hetero = HeteroCompressor::new(Culzss::new(version).with_workers(2), 0.5, 2);
+            let err = hetero.compress(&input).unwrap_err();
+            assert!(matches!(err, crate::CulzssError::InvalidParams(_)), "{err:?}");
+            let err = hetero.auto_balance(&input).unwrap_err();
+            assert!(matches!(err, crate::CulzssError::InvalidParams(_)), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn cpu_compress_refuses_out_of_range_chunk_sizes() {
+        for chunk_size in [0, u32::MAX as usize + 4097] {
+            let params = CulzssParams { chunk_size, ..CulzssParams::v1() };
+            let err = cpu_compress(b"abc", &params, 1).unwrap_err();
+            assert_eq!(
+                err,
+                crate::CulzssError::InvalidParams("chunk_size must be in 1..=u32::MAX".into()),
+                "chunk_size {chunk_size}"
+            );
+        }
+    }
+
     fn codec_error<T>(result: CulzssResult<T>) -> Error {
         match result {
             Err(crate::CulzssError::Codec(e)) => e,
@@ -421,7 +495,7 @@ mod tests {
                 assert!(matches!(expected, Error::InvalidContainer { .. }), "{expected:?}");
             }
             assert_eq!(codec_error(gpu().decompress_auto(&bytes)), expected);
-            assert_eq!(codec_error(gpu().decompress_auto_checked(&bytes)), expected);
+            assert_eq!(codec_error(gpu().with_sanitizer().decompress_auto(&bytes)), expected);
             assert_eq!(codec_error(cpu_decompress(&bytes, 2)), expected);
         }
     }

@@ -42,27 +42,22 @@ pub struct V1Kernel<'a> {
     pub shared_banks: usize,
     /// Warp width of the device.
     pub warp_size: usize,
-    /// Optional recycled-buffer pool for token scratch and bucket bodies.
-    pub pool: Option<&'a BufferPool>,
+    /// Recycled-buffer pool for token scratch and bucket bodies.
+    pub pool: &'a BufferPool,
 }
 
 impl<'a> V1Kernel<'a> {
     /// Builds the kernel for `input` under `params` on a device with the
-    /// given warp/bank geometry.
+    /// given warp/bank geometry, drawing token scratch and bucket bodies
+    /// from `pool`.
     pub fn new(
         input: &'a [u8],
         params: &'a CulzssParams,
         warp_size: usize,
         shared_banks: usize,
+        pool: &'a BufferPool,
     ) -> Self {
-        Self { input, params, config: params.lzss_config(), shared_banks, warp_size, pool: None }
-    }
-
-    /// Draws token scratch and bucket bodies from `pool` instead of
-    /// allocating per chunk.
-    pub fn with_pool(mut self, pool: &'a BufferPool) -> Self {
-        self.pool = Some(pool);
-        self
+        Self { input, params, config: params.lzss_config(), shared_banks, warp_size, pool }
     }
 
     fn chunk_of(&self, global_tid: usize) -> Option<&'a [u8]> {
@@ -104,10 +99,7 @@ impl BlockKernel for V1Kernel<'_> {
             t.global_bulk(chunk.len() as u64, 128, false);
             t.global_cached_bulk(chunk.len() as u64);
 
-            let mut tokens = match self.pool {
-                Some(pool) => pool.acquire_tokens(),
-                None => Vec::with_capacity(chunk.len() / 4),
-            };
+            let mut tokens = self.pool.acquire_tokens();
             let work = greedy_parse_into(chunk, &self.config, &mut tokens);
             t.charge_ops(work.ops() + tokens.len() as u64 * OPS_PER_TOKEN);
             if self.params.use_shared_memory {
@@ -127,14 +119,9 @@ impl BlockKernel for V1Kernel<'_> {
                 t.global_cached_bulk(work.accesses());
             }
 
-            let mut body = match self.pool {
-                Some(pool) => pool.acquire_bytes(),
-                None => Vec::new(),
-            };
+            let mut body = self.pool.acquire_bytes();
             format::encode_into(&tokens, &self.config, &mut body);
-            if let Some(pool) = self.pool {
-                pool.release_tokens(tokens);
-            }
+            self.pool.release_tokens(tokens);
             // Bucket write-back: per-thread scattered but sequential, so
             // write-combined into line-sized transactions.
             t.global_bulk(body.len() as u64, 128, false);
@@ -145,21 +132,8 @@ impl BlockKernel for V1Kernel<'_> {
 }
 
 /// Runs the V1 kernel over `input` and returns the per-chunk compressed
-/// bodies in chunk order plus the launch statistics.
-pub fn run(
-    sim: &culzss_gpusim::GpuSim,
-    input: &[u8],
-    params: &CulzssParams,
-) -> Result<(Vec<Vec<u8>>, culzss_gpusim::exec::LaunchStats), culzss_gpusim::exec::LaunchError> {
-    let device = sim.device();
-    let kernel = V1Kernel::new(input, params, device.warp_size, device.shared_banks);
-    let result = sim.launch(launch_config(input, params), &kernel)?;
-    let bodies = collect_bodies(result.outputs, params.chunk_count(input.len()));
-    Ok((bodies, result.stats))
-}
-
-/// [`run`] drawing token scratch and bucket bodies from `pool`; the
-/// caller returns the bodies via
+/// bodies in chunk order plus the launch statistics. Token scratch and
+/// bucket bodies come from `pool`; the caller returns the bodies via
 /// [`BufferPool::release_all_bytes`] once the container is assembled.
 pub fn run_pooled(
     sim: &culzss_gpusim::GpuSim,
@@ -168,29 +142,20 @@ pub fn run_pooled(
     pool: &BufferPool,
 ) -> Result<(Vec<Vec<u8>>, culzss_gpusim::exec::LaunchStats), culzss_gpusim::exec::LaunchError> {
     let device = sim.device();
-    let kernel =
-        V1Kernel::new(input, params, device.warp_size, device.shared_banks).with_pool(pool);
+    let kernel = V1Kernel::new(input, params, device.warp_size, device.shared_banks, pool);
     let result = sim.launch(launch_config(input, params), &kernel)?;
     let bodies = collect_bodies(result.outputs, params.chunk_count(input.len()));
     Ok((bodies, result.stats))
 }
 
-/// [`run`] under the shared-memory sanitizer
-/// ([`culzss_gpusim::GpuSim::launch_checked`]): same bodies and stats,
-/// plus the racecheck report.
-pub fn run_checked(
+/// [`run_pooled`] over a pool of its own, for one-off callers that keep
+/// no pool across calls.
+pub fn run(
     sim: &culzss_gpusim::GpuSim,
     input: &[u8],
     params: &CulzssParams,
-) -> Result<
-    (Vec<Vec<u8>>, culzss_gpusim::exec::LaunchStats, culzss_gpusim::SanitizerReport),
-    culzss_gpusim::exec::LaunchError,
-> {
-    let device = sim.device();
-    let kernel = V1Kernel::new(input, params, device.warp_size, device.shared_banks);
-    let result = sim.launch_checked(launch_config(input, params), &kernel)?;
-    let bodies = collect_bodies(result.outputs, params.chunk_count(input.len()));
-    Ok((bodies, result.stats, result.sanitizer))
+) -> Result<(Vec<Vec<u8>>, culzss_gpusim::exec::LaunchStats), culzss_gpusim::exec::LaunchError> {
+    run_pooled(sim, input, params, &BufferPool::new())
 }
 
 fn launch_config(input: &[u8], params: &CulzssParams) -> culzss_gpusim::LaunchConfig {

@@ -138,27 +138,6 @@ pub fn run(
     Ok((result.outputs, result.stats))
 }
 
-/// [`run`] under the shared-memory sanitizer
-/// ([`culzss_gpusim::GpuSim::launch_checked`]): same records and stats,
-/// plus the racecheck report.
-pub fn run_checked(
-    sim: &culzss_gpusim::GpuSim,
-    input: &[u8],
-    params: &CulzssParams,
-) -> Result<
-    (Vec<Vec<MatchRecord>>, culzss_gpusim::exec::LaunchStats, culzss_gpusim::SanitizerReport),
-    culzss_gpusim::exec::LaunchError,
-> {
-    let kernel = V2MatchKernel::new(input, params);
-    let cfg = culzss_gpusim::LaunchConfig {
-        grid_dim: params.grid_dim(input.len()),
-        block_dim: params.threads_per_block,
-        shared_bytes: params.shared_bytes(),
-    };
-    let result = sim.launch_checked(cfg, &kernel)?;
-    Ok((result.outputs, result.stats, result.sanitizer))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

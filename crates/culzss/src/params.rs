@@ -168,12 +168,20 @@ impl CulzssParams {
         }
     }
 
+    /// The chunk-size rule every encode path shares, GPU and CPU: a
+    /// chunk holds at least one byte, and the container records its size
+    /// in 32 bits.
+    pub fn validate_chunk_size(&self) -> CulzssResult<()> {
+        if self.chunk_size == 0 || self.chunk_size > u32::MAX as usize {
+            return Err(CulzssError::InvalidParams("chunk_size must be in 1..=u32::MAX".into()));
+        }
+        Ok(())
+    }
+
     /// Validates against a device and the 16-bit code format.
     pub fn validate(&self, device: &DeviceSpec) -> CulzssResult<()> {
         let fail = |m: String| Err(CulzssError::InvalidParams(m));
-        if self.chunk_size == 0 || self.chunk_size > u32::MAX as usize {
-            return fail("chunk_size must be in 1..=u32::MAX".into());
-        }
+        self.validate_chunk_size()?;
         if self.threads_per_block == 0 || self.threads_per_block > device.max_threads_per_block {
             return fail(format!(
                 "threads_per_block {} outside 1..={}",

@@ -77,10 +77,25 @@ impl SalvageReport {
 
 /// Salvage-decodes a container `bytes` on the CPU with the configuration
 /// taken from its header. Fails only if the metadata itself is unusable
-/// (bad magic, tampered header/table, truncated before the payload).
+/// (bad magic, tampered header/table, truncated before the payload, or a
+/// `total_len` more than `bytes` could ever decode to).
 pub fn salvage(bytes: &[u8]) -> culzss_lzss::error::Result<(Vec<u8>, SalvageReport)> {
     let (container, payload_offset) = Container::parse_lenient(bytes)?;
     let config = header_config(&container)?;
+    // A Fixed16 match token spends two stream bytes on at most
+    // `max_match` output bytes, so no stream decodes to more than
+    // `len / 2 × max_match` bytes. The output and its zero-filled holes
+    // are sized from `total_len`: refuse a larger claim before allocating.
+    let limit = (bytes.len() as u64 / 2).saturating_mul(config.max_match as u64);
+    if container.total_len > limit {
+        return Err(Error::InvalidContainer {
+            reason: format!(
+                "total_len {} exceeds the {limit} bytes a {}-byte stream can decode to",
+                container.total_len,
+                bytes.len()
+            ),
+        });
+    }
     let payload = &bytes[payload_offset.min(bytes.len())..];
 
     let mut out = Vec::with_capacity(container.total_len as usize);

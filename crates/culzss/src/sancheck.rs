@@ -1,5 +1,8 @@
 //! Racecheck driver: run the shipped kernels under the gpusim
-//! shared-memory sanitizer ([`culzss_gpusim::GpuSim::launch_checked`]).
+//! shared-memory sanitizer. Each check launches on an armed clone of the
+//! caller's simulator ([`GpuSim::with_sanitizer`]) and reads the verdict
+//! from the launch's [`LaunchStats::sanitizer`]; the kernels themselves
+//! have one entry point, armed or not.
 //!
 //! The CULZSS kernels depend on exactly the discipline the paper
 //! describes — V1's per-thread windows must stay disjoint in the shared
@@ -8,11 +11,13 @@
 //! `culzss sancheck`, the server's startup probe, the test suites)
 //! asserts that discipline holds on real corpus data.
 
+use culzss_gpusim::exec::LaunchStats;
 use culzss_gpusim::{GpuSim, SanitizerReport};
 
 use crate::decompress::DecodeEngine;
 use crate::error::CulzssResult;
 use crate::params::{CulzssParams, Version};
+use crate::pipeline::BufferPool;
 use crate::{kernel_v1, kernel_v2, v3};
 
 /// Racecheck outcome for one kernel over one input sample.
@@ -33,17 +38,25 @@ impl KernelCheck {
     }
 }
 
-/// Runs the kernel selected by `params.version` over `input` under the
-/// sanitizer and returns its findings. Outputs are discarded — callers
-/// wanting both use `kernel_v1::run_checked` / `kernel_v2::run_checked`.
+/// Runs the kernel selected by `params.version` over `input` on an
+/// armed clone of `sim` and returns its findings. Outputs are discarded —
+/// callers wanting both run the kernel on a simulator built with
+/// [`GpuSim::with_sanitizer`] and read [`LaunchStats::sanitizer`].
 pub fn check(sim: &GpuSim, input: &[u8], params: &CulzssParams) -> CulzssResult<KernelCheck> {
     params.validate(sim.device())?;
-    let report = match params.version {
-        Version::V1 => kernel_v1::run_checked(sim, input, params)?.2,
-        Version::V2 => kernel_v2::run_checked(sim, input, params)?.2,
-        Version::V3 => v3::run_checked(sim, input, params)?.2,
+    let sim = sim.clone().with_sanitizer();
+    let pool = BufferPool::new();
+    let stats = match params.version {
+        Version::V1 => kernel_v1::run_pooled(&sim, input, params, &pool)?.1,
+        Version::V2 => kernel_v2::run(&sim, input, params)?.1,
+        Version::V3 => v3::run_pooled(&sim, input, params, &pool)?.1,
     };
-    Ok(KernelCheck { version: params.version, input_bytes: input.len(), report })
+    Ok(KernelCheck { version: params.version, input_bytes: input.len(), report: report_of(stats) })
+}
+
+/// The verdict of a launch on an armed simulator.
+fn report_of(stats: LaunchStats) -> SanitizerReport {
+    stats.sanitizer.expect("an armed launch reports")
 }
 
 /// Runs *all three* kernel designs over `input` on `sim`'s device with
@@ -56,12 +69,6 @@ pub fn check_all(sim: &GpuSim, input: &[u8]) -> CulzssResult<Vec<KernelCheck>> {
         check(sim, input, &CulzssParams::v2())?,
         check(sim, input, &CulzssParams::v3())?,
     ])
-}
-
-/// Backwards-compatible alias for [`check_all`] from when there were
-/// only two kernel designs.
-pub fn check_both(sim: &GpuSim, input: &[u8]) -> CulzssResult<Vec<KernelCheck>> {
-    check_all(sim, input)
 }
 
 /// Racecheck outcome for one decode engine over one input sample.
@@ -85,8 +92,9 @@ impl DecodeCheck {
 }
 
 /// Compresses `input` with `params`, then decodes the stream with
-/// `engine` under the sanitizer, asserting byte identity on the side.
-/// This mirrors [`check`] for the decompression kernels.
+/// `engine` on an armed pipeline ([`crate::Culzss::with_sanitizer`]),
+/// asserting byte identity on the side. This mirrors [`check`] for the
+/// decompression kernels.
 pub fn check_decode(
     sim: &GpuSim,
     input: &[u8],
@@ -97,8 +105,9 @@ pub fn check_decode(
     params.decode_engine = engine;
     let culzss = crate::Culzss::with_device(sim.device().clone(), params.clone());
     let (stream, _) = culzss.compress(input)?;
-    let (out, _, report) = culzss.decompress_auto_checked(&stream)?;
-    debug_assert_eq!(out, input, "checked decode changed bytes");
+    let (out, stats) = culzss.with_sanitizer().decompress_auto(&stream)?;
+    debug_assert_eq!(out, input, "armed decode changed bytes");
+    let report = report_of(stats.launch.expect("a GPU decode launches"));
     Ok(DecodeCheck { engine, version: params.version, input_bytes: input.len(), report })
 }
 
@@ -126,7 +135,7 @@ mod tests {
     #[test]
     fn both_kernels_are_race_free_on_mixed_data() {
         let input = b"sanitizer sweep over a text-like sample; repeat repeat ".repeat(400);
-        for check in check_both(&sim(), &input).unwrap() {
+        for check in check_all(&sim(), &input).unwrap() {
             assert!(
                 check.is_clean(),
                 "{:?} kernel not race-free:\n{}",
@@ -139,7 +148,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_trivially_clean() {
-        for check in check_both(&sim(), b"").unwrap() {
+        for check in check_all(&sim(), b"").unwrap() {
             assert!(check.is_clean());
             assert_eq!(check.report.grid_dim, 0);
         }

@@ -165,29 +165,15 @@ pub struct V3CompressKernel<'a> {
     pub params: &'a CulzssParams,
     /// Token configuration derived from the parameters.
     pub config: LzssConfig,
-    /// Global chunk index of this launch's block 0 (multi-device
-    /// partitioning, same convention as [`crate::kernel_v2`]).
-    pub chunk_offset: usize,
-    /// Optional recycled-buffer pool for token scratch and bodies.
-    pub pool: Option<&'a BufferPool>,
+    /// Recycled-buffer pool for token scratch and bodies.
+    pub pool: &'a BufferPool,
 }
 
 impl<'a> V3CompressKernel<'a> {
-    /// Builds the kernel for a single-device launch.
-    pub fn new(input: &'a [u8], params: &'a CulzssParams) -> Self {
-        Self { input, params, config: params.lzss_config(), chunk_offset: 0, pool: None }
-    }
-
-    /// Offsets the kernel's chunk indexing (multi-device partitioning).
-    pub fn with_chunk_offset(mut self, offset: usize) -> Self {
-        self.chunk_offset = offset;
-        self
-    }
-
-    /// Draws token scratch and body buffers from `pool`.
-    pub fn with_pool(mut self, pool: &'a BufferPool) -> Self {
-        self.pool = Some(pool);
-        self
+    /// Builds the kernel, drawing token scratch and body buffers from
+    /// `pool`.
+    pub fn new(input: &'a [u8], params: &'a CulzssParams, pool: &'a BufferPool) -> Self {
+        Self { input, params, config: params.lzss_config(), pool }
     }
 }
 
@@ -196,7 +182,7 @@ impl BlockKernel for V3CompressKernel<'_> {
     type Output = Vec<u8>;
 
     fn run_block(&self, block: &mut BlockCtx) -> Vec<u8> {
-        let chunk_start = (self.chunk_offset + block.block_idx) * self.params.chunk_size;
+        let chunk_start = block.block_idx * self.params.chunk_size;
         let chunk_end = (chunk_start + self.params.chunk_size).min(self.input.len());
         let chunk = &self.input[chunk_start..chunk_end];
         let arena = Arena::new(self.params);
@@ -208,10 +194,7 @@ impl BlockKernel for V3CompressKernel<'_> {
         // compaction phases below.
         let mut token_start = vec![false; chunk.len()];
         let mut match_at = vec![false; chunk.len()];
-        let mut tokens = match self.pool {
-            Some(pool) => pool.acquire_tokens(),
-            None => Vec::with_capacity(chunk.len() / 4),
-        };
+        let mut tokens = self.pool.acquire_tokens();
         let mut match_count = 0usize;
         let mut cursor = 0usize;
 
@@ -282,7 +265,7 @@ impl BlockKernel for V3CompressKernel<'_> {
                         cursor += 1;
                     }
                     emitted += 1;
-                    if tokens.len() % 8 == 0 {
+                    if tokens.len().is_multiple_of(8) {
                         // Group filled: flush its accumulated flag byte.
                         t.shared_write(arena.flags + (tokens.len() / 8 - 1) as u64, 1);
                         flags_closed += 1;
@@ -401,19 +384,14 @@ impl BlockKernel for V3CompressKernel<'_> {
             }
         });
 
-        let mut body = match self.pool {
-            Some(pool) => pool.acquire_bytes(),
-            None => Vec::new(),
-        };
+        let mut body = self.pool.acquire_bytes();
         format::encode_into(&tokens, &self.config, &mut body);
         debug_assert_eq!(
             body.len(),
             tokens.len().div_ceil(8) + tokens.len() + match_count,
             "staged-body model disagrees with the Fixed16 encoder"
         );
-        if let Some(pool) = self.pool {
-            pool.release_tokens(tokens);
-        }
+        self.pool.release_tokens(tokens);
 
         // Phase 7: coalesced writeback of the staged body — whole words,
         // lanes interleaved, the warp decoder's writeback idiom.
@@ -439,46 +417,18 @@ fn launch_config(input: &[u8], params: &CulzssParams) -> culzss_gpusim::LaunchCo
 }
 
 /// Runs the fused V3 kernel, returning the padding-free per-chunk bodies
-/// in chunk order plus launch statistics.
-pub fn run(
-    sim: &culzss_gpusim::GpuSim,
-    input: &[u8],
-    params: &CulzssParams,
-) -> Result<(Vec<Vec<u8>>, culzss_gpusim::exec::LaunchStats), culzss_gpusim::exec::LaunchError> {
-    let kernel = V3CompressKernel::new(input, params);
-    let result = sim.launch(launch_config(input, params), &kernel)?;
-    Ok((result.outputs, result.stats))
-}
-
-/// [`run`] drawing token scratch and body buffers from `pool`; the
-/// caller returns the bodies via [`BufferPool::release_all_bytes`] once
-/// the container is assembled.
+/// in chunk order plus launch statistics. Token scratch and body buffers
+/// come from `pool`; the caller returns the bodies via
+/// [`BufferPool::release_all_bytes`] once the container is assembled.
 pub fn run_pooled(
     sim: &culzss_gpusim::GpuSim,
     input: &[u8],
     params: &CulzssParams,
     pool: &BufferPool,
 ) -> Result<(Vec<Vec<u8>>, culzss_gpusim::exec::LaunchStats), culzss_gpusim::exec::LaunchError> {
-    let kernel = V3CompressKernel::new(input, params).with_pool(pool);
+    let kernel = V3CompressKernel::new(input, params, pool);
     let result = sim.launch(launch_config(input, params), &kernel)?;
     Ok((result.outputs, result.stats))
-}
-
-/// [`run`] under the shared-memory sanitizer
-/// ([`culzss_gpusim::GpuSim::launch_checked`]): same bodies and stats,
-/// plus the racecheck report covering the selection, scan, and
-/// compaction phases alongside the match phases.
-pub fn run_checked(
-    sim: &culzss_gpusim::GpuSim,
-    input: &[u8],
-    params: &CulzssParams,
-) -> Result<
-    (Vec<Vec<u8>>, culzss_gpusim::exec::LaunchStats, culzss_gpusim::SanitizerReport),
-    culzss_gpusim::exec::LaunchError,
-> {
-    let kernel = V3CompressKernel::new(input, params);
-    let result = sim.launch_checked(launch_config(input, params), &kernel)?;
-    Ok((result.outputs, result.stats, result.sanitizer))
 }
 
 #[cfg(test)]
@@ -490,6 +440,15 @@ mod tests {
 
     fn sim() -> GpuSim {
         GpuSim::new(DeviceSpec::gtx480()).with_workers(4)
+    }
+
+    fn run(
+        sim: &GpuSim,
+        input: &[u8],
+        params: &CulzssParams,
+    ) -> Result<(Vec<Vec<u8>>, culzss_gpusim::exec::LaunchStats), culzss_gpusim::exec::LaunchError>
+    {
+        run_pooled(sim, input, params, &BufferPool::new())
     }
 
     #[test]
@@ -545,7 +504,8 @@ mod tests {
     #[test]
     fn selection_scan_compaction_are_race_free() {
         let input = b"fused kernel racecheck sample; repeat repeat repeat ".repeat(400);
-        let (_, stats, report) = run_checked(&sim(), &input, &CulzssParams::v3()).unwrap();
+        let (_, stats) = run(&sim().with_sanitizer(), &input, &CulzssParams::v3()).unwrap();
+        let report = stats.sanitizer.as_ref().expect("an armed launch reports");
         assert!(report.is_clean(), "V3 kernel not race-free:\n{report}");
         assert!(report.checked_accesses > 0);
         assert!(stats.cost.cycles > 0.0);
@@ -597,15 +557,5 @@ mod tests {
             }
         }
         assert!(wins >= 3, "V3 won only {wins}/5 corpora on pipeline cycles");
-    }
-
-    #[test]
-    fn pooled_run_matches_unpooled() {
-        let params = CulzssParams::v3();
-        let pool = BufferPool::new();
-        let input = Dataset::Dictionary.generate(32 * 1024, 5);
-        let (plain, _) = run(&sim(), &input, &params).unwrap();
-        let (pooled, _) = run_pooled(&sim(), &input, &params, &pool).unwrap();
-        assert_eq!(plain, pooled);
     }
 }

@@ -193,12 +193,16 @@ pub fn gpu_segment_encoder(
 
 /// Segment encoder over the CPU reference
 /// ([`hetero::cpu_compress_bodies`]) — byte-identical to the V1 GPU
-/// kernel.
+/// kernel. Refuses an out-of-range `chunk_size` the way
+/// [`hetero::cpu_compress`] does.
 pub fn cpu_segment_encoder<'a>(
     params: &'a CulzssParams,
     threads: usize,
 ) -> impl FnMut(&[u8]) -> CulzssResult<Vec<Vec<u8>>> + 'a {
-    move |segment| Ok(hetero::cpu_compress_bodies(segment, params, threads))
+    move |segment| {
+        params.validate_chunk_size()?;
+        Ok(hetero::cpu_compress_bodies(segment, params, threads))
+    }
 }
 
 /// Splits a container stream into its per-chunk compressed bodies.

@@ -93,3 +93,12 @@ fn cpu_cached_stream_matches_the_gpu_engine_stream_under_v1() {
     assert_eq!(report.miss_segments, 0);
     assert_eq!(warm, culzss.compress(&input).unwrap().0);
 }
+
+/// An out-of-range chunk size is a typed refusal on the CPU path, as it
+/// is on the GPU path, not a panic inside the chunk loop.
+#[test]
+fn cpu_front_end_refuses_a_zero_chunk_size() {
+    let params = CulzssParams { chunk_size: 0, ..CulzssParams::v1() };
+    let err = front_end(&params).compress_cpu(&[7u8; 8192], 1).unwrap_err();
+    assert!(matches!(err, culzss::CulzssError::InvalidParams(_)), "{err:?}");
+}

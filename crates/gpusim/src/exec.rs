@@ -229,7 +229,8 @@ impl ThreadCtx<'_> {
     /// Models a CUDA early `return`: this thread runs to the end of the
     /// current phase closure and then skips every later phase. Reaching a
     /// subsequent barrier with a mix of live and exited threads is barrier
-    /// divergence, which [`GpuSim::launch_checked`] reports.
+    /// divergence, which an armed simulator ([`GpuSim::with_sanitizer`])
+    /// reports.
     pub fn exit_thread(&mut self) {
         *self.exited = true;
     }
@@ -265,22 +266,6 @@ pub struct LaunchResult<R> {
     pub stats: LaunchStats,
 }
 
-/// Result of [`GpuSim::launch_checked`]: a normal launch plus the
-/// sanitizer's verdict.
-#[derive(Debug)]
-pub struct CheckedLaunchResult<R> {
-    /// Per-block outputs in block order.
-    pub outputs: Vec<R>,
-    /// Aggregated launch statistics (identical to an unchecked launch).
-    pub stats: LaunchStats,
-    /// Shared-memory race and barrier-divergence findings.
-    pub sanitizer: SanitizerReport,
-}
-
-/// What [`GpuSim::launch_inner`] hands back: the launch result plus one
-/// sanitizer report per block (`None` on unchecked launches).
-type InnerLaunch<R> = (LaunchResult<R>, Vec<Option<BlockSanitizerReport>>);
-
 /// Aggregated statistics for one launch.
 #[derive(Debug, Clone)]
 pub struct LaunchStats {
@@ -302,6 +287,9 @@ pub struct LaunchStats {
     /// Dynamic shared memory per block, in bytes (feeds
     /// [`crate::trace::Timeline::from_launch`]).
     pub shared_bytes: usize,
+    /// Shared-memory race and barrier-divergence findings: `Some` exactly
+    /// when the simulator was armed with [`GpuSim::with_sanitizer`].
+    pub sanitizer: Option<SanitizerReport>,
 }
 
 impl LaunchStats {
@@ -334,20 +322,21 @@ impl LaunchStats {
 }
 
 /// A simulated GPU: a device description plus a host worker pool size,
-/// and optionally a [`DeviceFaultModel`] injecting failures at the
-/// launch seam.
+/// optionally a [`DeviceFaultModel`] injecting failures at the launch
+/// seam, and optionally the shared-memory sanitizer.
 #[derive(Debug, Clone)]
 pub struct GpuSim {
     device: DeviceSpec,
     workers: usize,
     fault: Option<Arc<DeviceFaultModel>>,
+    sanitize: bool,
 }
 
 impl GpuSim {
     /// Creates a simulator for `device` using all available host cores.
     pub fn new(device: DeviceSpec) -> Self {
         let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-        Self { device, workers, fault: None }
+        Self { device, workers, fault: None, sanitize: false }
     }
 
     /// Overrides the host worker-pool size (useful in tests).
@@ -361,6 +350,18 @@ impl GpuSim {
     /// clones share one physical device.
     pub fn with_fault_model(mut self, model: DeviceFaultModel) -> Self {
         self.fault = Some(Arc::new(model));
+        self
+    }
+
+    /// Arms the shared-memory sanitizer on every launch: each exact shared
+    /// access is recorded with its read/write kind and swept at each
+    /// barrier for intra-phase conflicts between threads, and barriers
+    /// only part of a block arrives at (after [`ThreadCtx::exit_thread`])
+    /// are reported as divergence. The verdict lands in
+    /// [`LaunchStats::sanitizer`]; outputs and every other statistic are
+    /// those of an unarmed launch — the sanitizer only observes.
+    pub fn with_sanitizer(mut self) -> Self {
+        self.sanitize = true;
         self
     }
 
@@ -381,49 +382,6 @@ impl GpuSim {
         cfg: LaunchConfig,
         kernel: &K,
     ) -> Result<LaunchResult<K::Output>, LaunchError> {
-        let (result, _) = self.launch_inner(cfg, kernel, false)?;
-        Ok(result)
-    }
-
-    /// [`Self::launch`] with the shared-memory sanitizer armed: every
-    /// exact shared access is recorded with its read/write kind and swept
-    /// at each barrier for intra-phase conflicts between threads; barriers
-    /// only part of a block arrives at (after [`ThreadCtx::exit_thread`])
-    /// are reported as divergence. Outputs and metrics are identical to an
-    /// unchecked launch — the sanitizer only observes.
-    pub fn launch_checked<K: BlockKernel>(
-        &self,
-        cfg: LaunchConfig,
-        kernel: &K,
-    ) -> Result<CheckedLaunchResult<K::Output>, LaunchError> {
-        let (result, findings) = self.launch_inner(cfg, kernel, true)?;
-        let mut sanitizer = SanitizerReport {
-            grid_dim: cfg.grid_dim,
-            block_dim: cfg.block_dim,
-            checked_accesses: 0,
-            phases: 0,
-            conflicts: 0,
-            divergent_blocks: 0,
-            findings: Vec::new(),
-        };
-        for block in findings.into_iter().flatten() {
-            sanitizer.checked_accesses += block.checked_accesses;
-            sanitizer.phases += block.phases;
-            sanitizer.conflicts += block.conflict_count();
-            sanitizer.divergent_blocks += u64::from(block.divergence.is_some());
-            if !block.is_clean() {
-                sanitizer.findings.push(block);
-            }
-        }
-        Ok(CheckedLaunchResult { outputs: result.outputs, stats: result.stats, sanitizer })
-    }
-
-    fn launch_inner<K: BlockKernel>(
-        &self,
-        cfg: LaunchConfig,
-        kernel: &K,
-        checked: bool,
-    ) -> Result<InnerLaunch<K::Output>, LaunchError> {
         if cfg.block_dim == 0 || cfg.block_dim > self.device.max_threads_per_block {
             return Err(LaunchError::BadBlockDim {
                 requested: cfg.block_dim,
@@ -498,7 +456,7 @@ impl GpuSim {
                         block.block_idx = idx;
                         block.exited.fill(false);
                         block.meter.note_shared_alloc(cfg.shared_bytes);
-                        if checked {
+                        if self.sanitize {
                             block.meter.enable_sanitizer(idx);
                         }
                         let output = kernel.run_block(&mut block);
@@ -512,14 +470,30 @@ impl GpuSim {
 
         let mut outputs = Vec::with_capacity(cfg.grid_dim);
         let mut per_block = Vec::with_capacity(cfg.grid_dim);
-        let mut sanitizer = Vec::with_capacity(cfg.grid_dim);
+        let mut sanitizer = self.sanitize.then(|| SanitizerReport {
+            grid_dim: cfg.grid_dim,
+            block_dim: cfg.block_dim,
+            checked_accesses: 0,
+            phases: 0,
+            conflicts: 0,
+            divergent_blocks: 0,
+            findings: Vec::new(),
+        });
         let mut merged = BlockMetrics::default();
         for slot in slots.into_inner() {
             let (output, metrics, findings) = slot.expect("every block ran");
             merged.merge(&metrics);
             outputs.push(output);
             per_block.push(metrics);
-            sanitizer.push(findings);
+            if let (Some(report), Some(block)) = (&mut sanitizer, findings) {
+                report.checked_accesses += block.checked_accesses;
+                report.phases += block.phases;
+                report.conflicts += block.conflict_count();
+                report.divergent_blocks += u64::from(block.divergence.is_some());
+                if !block.is_clean() {
+                    report.findings.push(block);
+                }
+            }
         }
         let mut cost =
             cost_launch(&self.device, cfg.grid_dim, cfg.block_dim, cfg.shared_bytes, &per_block);
@@ -529,22 +503,20 @@ impl GpuSim {
             cost.seconds *= latency_multiplier;
         }
         // (per_block is moved into the stats below for trace reconstruction)
-        Ok((
-            LaunchResult {
-                outputs,
-                stats: LaunchStats {
-                    metrics: merged,
-                    per_block,
-                    kernel_seconds: cost.seconds,
-                    cost,
-                    wall_seconds: started.elapsed().as_secs_f64(),
-                    grid_dim: cfg.grid_dim,
-                    block_dim: cfg.block_dim,
-                    shared_bytes: cfg.shared_bytes,
-                },
+        Ok(LaunchResult {
+            outputs,
+            stats: LaunchStats {
+                metrics: merged,
+                per_block,
+                kernel_seconds: cost.seconds,
+                cost,
+                wall_seconds: started.elapsed().as_secs_f64(),
+                grid_dim: cfg.grid_dim,
+                block_dim: cfg.block_dim,
+                shared_bytes: cfg.shared_bytes,
+                sanitizer,
             },
-            sanitizer,
-        ))
+        })
     }
 }
 

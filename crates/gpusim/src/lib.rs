@@ -91,9 +91,7 @@ pub mod trace;
 pub mod transfer;
 
 pub use device::DeviceSpec;
-pub use exec::{
-    BlockCtx, BlockKernel, CheckedLaunchResult, GpuSim, LaunchConfig, LaunchResult, ThreadCtx,
-};
+pub use exec::{BlockCtx, BlockKernel, GpuSim, LaunchConfig, LaunchResult, ThreadCtx};
 pub use fault::{DeviceFaultConfig, DeviceFaultModel, FaultKind};
 pub use meter::BlockMetrics;
 pub use sanitizer::SanitizerReport;

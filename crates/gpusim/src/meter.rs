@@ -107,7 +107,8 @@ pub struct BlockMeter {
     scratch: InstructionScratch,
     /// Scratch: per-bank distinct-word counters for conflict pricing.
     bank_counts: BankCounts,
-    /// Racecheck state; present only under [`crate::exec::GpuSim::launch_checked`].
+    /// Racecheck state; present only on an armed simulator
+    /// ([`crate::exec::GpuSim::with_sanitizer`]).
     sanitizer: Option<Box<SanitizerState>>,
 }
 
@@ -137,7 +138,7 @@ impl BlockMeter {
         BlockMetrics { blocks: 1, block_dim, ..BlockMetrics::default() }
     }
 
-    /// Arms the shared-memory sanitizer for this block (checked launches).
+    /// Arms the shared-memory sanitizer for this block (armed launches).
     pub fn enable_sanitizer(&mut self, block_idx: usize) {
         self.sanitizer = Some(Box::new(SanitizerState::new(block_idx)));
     }
@@ -277,8 +278,8 @@ impl BlockMeter {
     }
 
     /// Closes the current block: flushes any un-barriered phase and
-    /// returns the block's metrics plus the sanitizer's findings when a
-    /// checked launch armed it. The end-of-kernel flush is not a barrier:
+    /// returns the block's metrics plus the sanitizer's findings when an
+    /// armed launch enabled it. The end-of-kernel flush is not a barrier:
     /// it sweeps trailing accesses for conflicts but cannot be divergent.
     ///
     /// The meter is left rearmed for the next block of the same geometry

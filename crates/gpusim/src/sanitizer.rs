@@ -10,7 +10,7 @@
 //! being undefined on a real device. The sanitizer closes that gap.
 //!
 //! The model: a **phase** is one inter-barrier region ([`crate::exec::
-//! BlockCtx::par_threads`] body). While a checked launch runs, every
+//! BlockCtx::par_threads`] body). While an armed launch runs, every
 //! exact shared access ([`crate::exec::ThreadCtx::shared_read`] /
 //! [`shared_write`](crate::exec::ThreadCtx::shared_write)) is recorded
 //! with its accessor tid and read/write kind. At each barrier the phase's
@@ -112,7 +112,7 @@ impl fmt::Display for Divergence {
     }
 }
 
-/// Sanitizer findings for one block of a checked launch.
+/// Sanitizer findings for one block of an armed launch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockSanitizerReport {
     /// The block's index in the grid.
@@ -146,7 +146,7 @@ impl BlockSanitizerReport {
 /// produce O(threads²) pairs per phase; the first few localize the bug.
 pub const MAX_CONFLICTS_PER_BLOCK: usize = 16;
 
-/// Aggregated sanitizer findings for a whole checked launch.
+/// Aggregated sanitizer findings for a whole armed launch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SanitizerReport {
     /// Blocks launched.
@@ -207,7 +207,7 @@ impl fmt::Display for SanitizerReport {
 }
 
 /// Live racecheck state for one executing block; owned by
-/// [`crate::meter::BlockMeter`] when the launch is checked.
+/// [`crate::meter::BlockMeter`] when the launch is armed.
 #[derive(Debug)]
 pub(crate) struct SanitizerState {
     block_idx: usize,
@@ -467,17 +467,28 @@ mod tests {
     use super::fixtures::*;
     use super::*;
     use crate::device::DeviceSpec;
-    use crate::exec::{GpuSim, LaunchConfig};
+    use crate::exec::{BlockKernel, GpuSim, LaunchConfig, LaunchStats};
 
     fn sim() -> GpuSim {
         GpuSim::new(DeviceSpec::gtx480()).with_workers(2)
     }
 
+    /// An armed launch's statistics and its sanitizer report.
+    struct Checked {
+        stats: LaunchStats,
+        sanitizer: SanitizerReport,
+    }
+
+    /// Launches `kernel` on an armed simulator.
+    fn racecheck<K: BlockKernel>(cfg: LaunchConfig, kernel: &K) -> Checked {
+        let mut stats = sim().with_sanitizer().launch(cfg, kernel).unwrap().stats;
+        let sanitizer = stats.sanitizer.take().expect("an armed launch reports");
+        Checked { stats, sanitizer }
+    }
+
     #[test]
     fn write_write_race_is_detected() {
-        let checked = sim()
-            .launch_checked(LaunchConfig::new(2, 32).with_shared(4), &SharedCounterRace)
-            .unwrap();
+        let checked = racecheck(LaunchConfig::new(2, 32).with_shared(4), &SharedCounterRace);
         let report = &checked.sanitizer;
         assert!(!report.is_clean());
         assert!(report.conflicts >= 2, "both blocks race: {report}");
@@ -494,9 +505,7 @@ mod tests {
 
     #[test]
     fn missing_barrier_is_a_read_write_conflict() {
-        let checked = sim()
-            .launch_checked(LaunchConfig::new(1, 64).with_shared(64), &MissingBarrier)
-            .unwrap();
+        let checked = racecheck(LaunchConfig::new(1, 64).with_shared(64), &MissingBarrier);
         let report = &checked.sanitizer;
         assert!(!report.is_clean());
         let block = &report.findings[0];
@@ -508,9 +517,8 @@ mod tests {
 
     #[test]
     fn divergent_exit_is_reported_once() {
-        let checked = sim()
-            .launch_checked(LaunchConfig::new(1, 64).with_shared(64), &DivergentExit { cutoff: 48 })
-            .unwrap();
+        let checked =
+            racecheck(LaunchConfig::new(1, 64).with_shared(64), &DivergentExit { cutoff: 48 });
         let report = &checked.sanitizer;
         assert_eq!(report.divergent_blocks, 1);
         assert_eq!(report.conflicts, 0, "divergence without data races: {report}");
@@ -523,15 +531,13 @@ mod tests {
 
     #[test]
     fn staged_exchange_is_clean() {
-        let checked = sim()
-            .launch_checked(LaunchConfig::new(4, 64).with_shared(64), &StagedExchange)
-            .unwrap();
+        let checked = racecheck(LaunchConfig::new(4, 64).with_shared(64), &StagedExchange);
         let report = &checked.sanitizer;
         assert!(report.is_clean(), "{report}");
         assert!(report.findings.is_empty());
         assert_eq!(report.phases, 4 * 2);
         assert_eq!(report.checked_accesses, 4 * 64 * 2);
-        // The unchecked launch path still works and meters identically.
+        // An unarmed launch meters identically.
         let plain =
             sim().launch(LaunchConfig::new(4, 64).with_shared(64), &StagedExchange).unwrap();
         assert_eq!(plain.stats.metrics, checked.stats.metrics);
@@ -541,23 +547,19 @@ mod tests {
     fn ping_pong_scan_is_clean_and_in_place_scan_races() {
         // The V3 offset scan's shape: 6 steps over 64 lanes. The
         // ping/pong discipline is race-free and its cost is phase-exact.
-        let clean = sim()
-            .launch_checked(
-                LaunchConfig::new(2, 64).with_shared(2 * 8 * 64),
-                &PrefixScanPingPong { steps: 6 },
-            )
-            .unwrap();
+        let clean = racecheck(
+            LaunchConfig::new(2, 64).with_shared(2 * 8 * 64),
+            &PrefixScanPingPong { steps: 6 },
+        );
         assert!(clean.sanitizer.is_clean(), "{}", clean.sanitizer);
         assert_eq!(clean.sanitizer.phases, 2 * 6);
 
         // Collapsing the buffers races every step on every overlapping
         // (reader, writer-one-stride-down) pair.
-        let racy = sim()
-            .launch_checked(
-                LaunchConfig::new(1, 64).with_shared(8 * 64),
-                &PrefixScanInPlace { steps: 6 },
-            )
-            .unwrap();
+        let racy = racecheck(
+            LaunchConfig::new(1, 64).with_shared(8 * 64),
+            &PrefixScanInPlace { steps: 6 },
+        );
         let report = &racy.sanitizer;
         assert!(!report.is_clean());
         let block = &report.findings[0];
@@ -569,24 +571,19 @@ mod tests {
 
     #[test]
     fn exited_threads_skip_later_phases() {
-        let checked = sim()
-            .launch_checked(LaunchConfig::new(1, 8).with_shared(8), &DivergentExit { cutoff: 4 })
-            .unwrap();
+        let checked =
+            racecheck(LaunchConfig::new(1, 8).with_shared(8), &DivergentExit { cutoff: 4 });
         // Phase 0: 8 writes; phase 1: only the 4 surviving reads.
         assert_eq!(checked.sanitizer.checked_accesses, 8 + 4);
     }
 
     #[test]
     fn report_displays_findings() {
-        let checked = sim()
-            .launch_checked(LaunchConfig::new(1, 32).with_shared(4), &SharedCounterRace)
-            .unwrap();
+        let checked = racecheck(LaunchConfig::new(1, 32).with_shared(4), &SharedCounterRace);
         let text = checked.sanitizer.to_string();
         assert!(text.contains("FINDINGS"), "{text}");
         assert!(text.contains("write-write"), "{text}");
-        let clean = sim()
-            .launch_checked(LaunchConfig::new(1, 32).with_shared(64), &StagedExchange)
-            .unwrap();
+        let clean = racecheck(LaunchConfig::new(1, 32).with_shared(64), &StagedExchange);
         assert!(clean.sanitizer.to_string().contains("CLEAN"));
     }
 }

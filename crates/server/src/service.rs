@@ -220,7 +220,7 @@ impl Service {
 
         // Startup racecheck probe: run the configured kernel over a small
         // deterministic corpus sample on each device under the sanitizer
-        // ([`culzss_gpusim::GpuSim::launch_checked`]), so [`ServiceStats`]
+        // ([`culzss_gpusim::GpuSim::with_sanitizer`]), so [`ServiceStats`]
         // can assert the service executes race- and divergence-free
         // before any tenant traffic is admitted.
         let probe =

@@ -524,7 +524,8 @@ pub struct ServiceStats {
     /// Output bytes of completed jobs.
     pub bytes_out: u64,
     /// Sanitized (racecheck) kernel launches — the startup probe runs the
-    /// configured kernel under [`culzss_gpusim::GpuSim::launch_checked`].
+    /// configured kernel on an armed simulator
+    /// ([`culzss_gpusim::GpuSim::with_sanitizer`]).
     pub sancheck_launches: u64,
     /// Shared-memory conflicts those launches reported (0 = race-free).
     pub sancheck_conflicts: u64,

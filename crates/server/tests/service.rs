@@ -510,3 +510,21 @@ fn v3_engine_knob_flows_through_the_job_path() {
     assert_eq!(ticket.wait().unwrap().output, input);
     assert!(decode_service.shutdown().reconciles());
 }
+
+#[test]
+fn cpu_lane_refuses_a_zero_chunk_size_with_one_typed_error() {
+    // The device path refuses the parameters, the retry degrades onto
+    // the CPU worker, and the CPU encoder must refuse them too — typed,
+    // not by panicking the worker — so the ticket resolves exactly once.
+    let mut config = quick_config();
+    config.params.chunk_size = 0;
+    let service = Service::start(config);
+    let ticket = service.submit(JobSpec::compress("t", vec![7u8; 8192])).unwrap();
+    match ticket.wait() {
+        Err(JobError::Codec { error }) => assert!(error.contains("chunk_size"), "{error}"),
+        other => panic!("expected a typed chunk_size refusal, got {other:?}"),
+    }
+    let stats = service.shutdown();
+    assert_eq!((stats.accepted, stats.completed, stats.failed), (1, 0, 1), "{stats:?}");
+    assert!(stats.reconciles(), "{stats:?}");
+}

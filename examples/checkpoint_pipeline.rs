@@ -86,7 +86,8 @@ impl culzss_gpusim::BlockKernel for V1Slice<'_> {
     type Output = usize;
     fn run_block(&self, block: &mut culzss_gpusim::BlockCtx) -> usize {
         let slice = &self.data[self.offset_bytes.min(self.data.len())..];
-        let inner = culzss::kernel_v1::V1Kernel::new(slice, &self.params, 32, 32);
+        let pool = culzss::pipeline::BufferPool::new();
+        let inner = culzss::kernel_v1::V1Kernel::new(slice, &self.params, 32, 32, &pool);
         let buckets = inner.run_block(block);
         buckets.iter().map(|b| b.len()).sum()
     }

@@ -7,6 +7,7 @@
 //! shape (so state leaking from one block into the next would show), the
 //! V1, V2 and V3 compression kernels, and the warp-parallel decoder.
 
+use culzss::pipeline::BufferPool;
 use culzss::{kernel_v1, kernel_v2, v3, Culzss, CulzssParams, DecodeEngine};
 use culzss_datasets::Dataset;
 use culzss_gpusim::exec::{BlockCtx, BlockKernel, LaunchStats};
@@ -74,11 +75,13 @@ impl BlockKernel for RacyFixture {
 #[test]
 fn racy_fixture_metrics_and_findings_do_not_depend_on_workers() {
     assert_worker_invariant("racy fixture", |workers| {
-        let result =
-            sim(workers).launch_checked(LaunchConfig::new(7, 64).with_shared(2048), &RacyFixture);
-        let result = result.unwrap();
-        assert!(!result.sanitizer.is_clean(), "the fixture must race and diverge");
-        observed(result.stats, result.sanitizer)
+        let result = sim(workers)
+            .with_sanitizer()
+            .launch(LaunchConfig::new(7, 64).with_shared(2048), &RacyFixture);
+        let stats = result.unwrap().stats;
+        let sanitizer = stats.sanitizer.clone().unwrap();
+        assert!(!sanitizer.is_clean(), "the fixture must race and diverge");
+        observed(stats, sanitizer)
     });
 }
 
@@ -88,18 +91,20 @@ fn compression_kernels_do_not_depend_on_workers() {
     // Small V1 chunks and blocks so the launch spans several blocks.
     let v1 = CulzssParams { chunk_size: 512, threads_per_block: 32, ..CulzssParams::v1() };
     assert_worker_invariant("V1", |workers| {
-        let (_, stats, report) = kernel_v1::run_checked(&sim(workers), &input, &v1).unwrap();
-        observed(stats, report)
+        let sim = sim(workers).with_sanitizer();
+        let (_, stats) = kernel_v1::run_pooled(&sim, &input, &v1, &BufferPool::new()).unwrap();
+        observed(stats.clone(), stats.sanitizer.unwrap())
     });
     assert_worker_invariant("V2", |workers| {
-        let (_, stats, report) =
-            kernel_v2::run_checked(&sim(workers), &input, &CulzssParams::v2()).unwrap();
-        observed(stats, report)
+        let (_, stats) =
+            kernel_v2::run(&sim(workers).with_sanitizer(), &input, &CulzssParams::v2()).unwrap();
+        observed(stats.clone(), stats.sanitizer.unwrap())
     });
     assert_worker_invariant("V3", |workers| {
-        let (_, stats, report) =
-            v3::run_checked(&sim(workers), &input, &CulzssParams::v3()).unwrap();
-        observed(stats, report)
+        let sim = sim(workers).with_sanitizer();
+        let (_, stats) =
+            v3::run_pooled(&sim, &input, &CulzssParams::v3(), &BufferPool::new()).unwrap();
+        observed(stats.clone(), stats.sanitizer.unwrap())
     });
 }
 
@@ -110,10 +115,12 @@ fn warp_decoder_does_not_depend_on_workers() {
     let (stream, _) =
         Culzss::with_device(DeviceSpec::gtx480(), params.clone()).compress(&input).unwrap();
     assert_worker_invariant("warp decoder", |workers| {
-        let culzss =
-            Culzss::with_device(DeviceSpec::gtx480(), params.clone()).with_workers(workers);
-        let (out, stats, report) = culzss.decompress_auto_checked(&stream).unwrap();
+        let culzss = Culzss::with_device(DeviceSpec::gtx480(), params.clone())
+            .with_workers(workers)
+            .with_sanitizer();
+        let (out, stats) = culzss.decompress_auto(&stream).unwrap();
         assert_eq!(out, input);
-        observed(stats.launch.expect("the warp decoder runs a kernel"), report)
+        let launch = stats.launch.expect("the warp decoder runs a kernel");
+        observed(launch.clone(), launch.sanitizer.unwrap())
     });
 }
