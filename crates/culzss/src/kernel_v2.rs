@@ -18,7 +18,7 @@
 use culzss_gpusim::exec::{BlockCtx, BlockKernel};
 use culzss_lzss::config::LzssConfig;
 
-use crate::metered::search_position_v2;
+use crate::metered::MatchSearcher;
 use crate::params::CulzssParams;
 
 /// Per-position match record shipped back to the host (the paper's
@@ -63,6 +63,9 @@ impl BlockKernel for V2MatchKernel<'_> {
         let mut records: Vec<MatchRecord> = vec![(0, 0); chunk.len()];
 
         let t_per_block = block.block_dim;
+        // Phase 2 searches its positions in ascending order, so one
+        // searcher serves the whole chunk.
+        let mut searcher = MatchSearcher::new(chunk, &self.config);
         let segments = chunk.len().div_ceil(t_per_block);
         for seg in 0..segments {
             let seg_base = seg * t_per_block;
@@ -93,7 +96,7 @@ impl BlockKernel for V2MatchKernel<'_> {
                 if p >= chunk.len() {
                     return;
                 }
-                let m = search_position_v2(chunk, p, &self.config);
+                let m = searcher.search(p);
                 t.charge_ops(m.work.ops());
                 if self.params.use_shared_memory {
                     // Exact ranged reads hand the sanitizer this phase's
@@ -141,7 +144,7 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metered::{greedy_parse, select_tokens, PosMatch};
+    use crate::metered::{greedy_parse_into, select_tokens, PosMatch};
     use culzss_gpusim::{DeviceSpec, GpuSim};
 
     fn sim() -> GpuSim {
@@ -171,7 +174,8 @@ mod tests {
                 .map(|&(distance, length)| PosMatch { distance, length, work: Default::default() })
                 .collect();
             let selected = select_tokens(chunk, &matches, &config);
-            let (greedy, _) = greedy_parse(chunk, &config);
+            let mut greedy = Vec::new();
+            greedy_parse_into(chunk, &config, &mut greedy);
             assert_eq!(selected, greedy);
         }
     }

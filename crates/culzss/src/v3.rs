@@ -61,7 +61,7 @@ use culzss_lzss::config::LzssConfig;
 use culzss_lzss::format;
 use culzss_lzss::token::Token;
 
-use crate::metered::search_position_v2;
+use crate::metered::MatchSearcher;
 use crate::params::CulzssParams;
 use crate::pipeline::BufferPool;
 
@@ -198,6 +198,9 @@ impl BlockKernel for V3CompressKernel<'_> {
         let mut match_count = 0usize;
         let mut cursor = 0usize;
 
+        // Phase 2 searches its positions in ascending order, so one
+        // searcher serves the whole chunk.
+        let mut searcher = MatchSearcher::new(chunk, &self.config);
         let segments = chunk.len().div_ceil(t_per_block);
         for seg in 0..segments {
             let seg_base = seg * t_per_block;
@@ -227,7 +230,7 @@ impl BlockKernel for V3CompressKernel<'_> {
                 if p >= chunk.len() {
                     return;
                 }
-                let m = search_position_v2(chunk, p, &self.config);
+                let m = searcher.search(p);
                 t.charge_ops(m.work.ops());
                 if self.params.use_shared_memory {
                     t.shared_read(0, self.params.window_size as u32);

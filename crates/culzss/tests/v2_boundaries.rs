@@ -4,9 +4,9 @@
 //! every record must equal the single-threaded reference search.
 
 use culzss::kernel_v2;
-use culzss::metered::search_position_v2;
 use culzss::{Culzss, CulzssParams, Version};
 use culzss_gpusim::{DeviceSpec, GpuSim};
+use culzss_lzss::matchfind::{BruteForce, MatchFinder};
 
 fn sim() -> GpuSim {
     GpuSim::new(DeviceSpec::gtx480()).with_workers(2)
@@ -35,10 +35,10 @@ fn every_record_matches_the_reference_search() {
     let (records, _) = kernel_v2::run(&sim(), &input, &params).unwrap();
     for (chunk_idx, (chunk, recs)) in input.chunks(params.chunk_size).zip(&records).enumerate() {
         for (p, &(distance, length)) in recs.iter().enumerate() {
-            let want = search_position_v2(chunk, p, &config);
+            let want = BruteForce.find(chunk, p, &config);
             assert_eq!(
-                (distance, length),
-                (want.distance, want.length),
+                (usize::from(distance), usize::from(length)),
+                want.map_or((0, 0), |m| (m.distance, m.length)),
                 "chunk {chunk_idx} pos {p}"
             );
         }

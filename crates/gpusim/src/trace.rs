@@ -78,20 +78,6 @@ impl ChromeEvent {
             args: vec![("name".into(), name.into())],
         }
     }
-
-    /// A metadata event naming thread lane `(pid, tid)`.
-    pub fn thread_name(pid: u64, tid: u64, name: &str) -> ChromeEvent {
-        ChromeEvent {
-            name: "thread_name".into(),
-            cat: "__metadata".into(),
-            ph: 'M',
-            ts_us: 0.0,
-            dur_us: None,
-            pid,
-            tid,
-            args: vec![("name".into(), name.into())],
-        }
-    }
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control bytes).

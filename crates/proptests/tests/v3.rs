@@ -13,7 +13,7 @@
 //! counterexample token stream here, long before the byte-compat
 //! differential suite points at a whole corpus.
 
-use culzss::metered::{search_position_v2, select_tokens, PosMatch};
+use culzss::metered::{select_tokens, MatchSearcher, PosMatch};
 use culzss::CulzssParams;
 use culzss_lzss::format;
 use culzss_lzss::token::Token;
@@ -36,8 +36,8 @@ fn inputs() -> impl Strategy<Value = Vec<u8>> {
 /// per-position V2 match records, then the greedy overlap resolution.
 fn v3_tokens(chunk: &[u8]) -> Vec<Token> {
     let config = CulzssParams::v3().lzss_config();
-    let records: Vec<PosMatch> =
-        (0..chunk.len()).map(|pos| search_position_v2(chunk, pos, &config)).collect();
+    let mut searcher = MatchSearcher::new(chunk, &config);
+    let records: Vec<PosMatch> = (0..chunk.len()).map(|pos| searcher.search(pos)).collect();
     select_tokens(chunk, &records, &config)
 }
 

@@ -82,9 +82,15 @@ impl TraceRecorder {
         Self { epoch: Instant::now(), spans: Mutex::new(Vec::new()), dropped: AtomicU64::new(0) }
     }
 
-    /// `t` as µs since the service epoch (0 for pre-epoch instants).
+    /// `t` as µs since the service epoch (0 for pre-epoch instants),
+    /// rounded down to a multiple of 2⁻¹⁰ µs (just under a nanosecond).
+    /// Such timestamps and their differences are exact in an `f64` for
+    /// about 100 days, so `end_us()` (start + dur) reproduces a host
+    /// span's end exactly: batch-mates, whose queue waits end at one
+    /// dequeue instant, agree on it to the bit.
     pub fn instant_us(&self, t: Instant) -> f64 {
-        t.saturating_duration_since(self.epoch).as_secs_f64() * 1e6
+        let ns = t.saturating_duration_since(self.epoch).as_nanos();
+        (ns * 1024 / 1000) as f64 / 1024.0
     }
 
     pub fn record(&self, span: SpanRecord) {
@@ -108,19 +114,7 @@ impl TraceRecorder {
     ) {
         let start_us = self.instant_us(start);
         let end_us = self.instant_us(end).max(start_us);
-        // `end_us()` recomputes start + dur, and that double rounding
-        // can land one ulp off the timestamp measured here — spans that
-        // share an end instant (batch-mates' queue_wait ends at one
-        // dequeue) must reproduce it exactly, so nudge the duration
-        // until the sum round-trips. A representable duration always
-        // exists because ulp(dur) ≤ ulp(end) for dur ≤ end.
-        let mut dur_us = end_us - start_us;
-        while start_us + dur_us < end_us {
-            dur_us = dur_us.next_up();
-        }
-        while start_us + dur_us > end_us {
-            dur_us = dur_us.next_down();
-        }
+        let dur_us = end_us - start_us;
         self.record(SpanRecord {
             name: name.into(),
             cat: "host".into(),
@@ -561,8 +555,8 @@ mod tests {
         let recorder = TraceRecorder::new();
         let end = Instant::now() + std::time::Duration::from_millis(1517);
         // Many distinct starts, one end: every recorded span must
-        // reproduce the identical end timestamp through start + dur,
-        // despite the double rounding (batch-mates share one dequeue).
+        // reproduce the identical end timestamp through start + dur
+        // (batch-mates share one dequeue).
         for i in 0..256 {
             let start = Instant::now() + std::time::Duration::from_nanos(i * 7919);
             recorder.host_span("queue_wait", SERVICE_PID, i, start, end, Vec::new());
@@ -571,6 +565,18 @@ mod tests {
         let first = spans[0].end_us();
         for s in &spans {
             assert_eq!(s.end_us(), first, "span on lane {} drifted an ulp", s.tid);
+        }
+
+        // Starts and end in different binades (here 2^17 and 2^18 µs),
+        // where the start's low bit has no counterpart in the duration.
+        let recorder = TraceRecorder::new();
+        let at = |ns: u64| recorder.epoch + std::time::Duration::from_nanos(ns);
+        let end = at(450_428_739);
+        for i in 0..256 {
+            recorder.host_span("queue_wait", SERVICE_PID, i, at(147_415_452 + i * 7), end, vec![]);
+        }
+        for s in &recorder.spans() {
+            assert_eq!(s.end_us(), recorder.instant_us(end), "lane {} drifted", s.tid);
         }
     }
 

@@ -25,6 +25,8 @@ use std::time::{Duration, Instant};
 use culzss::hetero;
 use culzss::{Culzss, CulzssError};
 use culzss_dedup::DedupReport;
+use culzss_gpusim::exec::LaunchError;
+use culzss_gpusim::fault::FaultKind;
 use culzss_gpusim::streams::{BatchTimeline, StageTimes};
 use culzss_gpusim::trace::Timeline;
 
@@ -239,7 +241,12 @@ fn run_job(
             };
             let started = Instant::now();
             let result = if shared.fault.should_fail() {
-                Err(CulzssError::InvalidParams(format!("injected device failure on gpu{device}")))
+                // The injector fails the attempt before any launch, so
+                // the attempt number stands in for the launch index.
+                Err(CulzssError::Launch(LaunchError::DeviceFault {
+                    kind: FaultKind::Transient,
+                    launch_index: u64::from(job.attempts),
+                }))
             } else {
                 match job.kind {
                     crate::job::JobKind::Compress => match &shared.dedup {
@@ -334,12 +341,18 @@ fn run_job(
                     )
                 }
                 // Codec errors (corrupt container, …) are the payload's
-                // fault; retrying on another engine cannot help. The
-                // device itself executed, so the breaker hears a
-                // success (and a probe slot, if held, is released).
-                Err(CulzssError::Codec(e)) => {
+                // fault and parameter errors the configuration's;
+                // retrying on another engine cannot help either. The
+                // device itself is fine, so the breaker hears a success
+                // (and a probe slot, if held, is released).
+                Err(e @ (CulzssError::Codec(_) | CulzssError::InvalidParams(_))) => {
                     shared.note_breaker(shared.health.on_success(*device, probe));
-                    resolve_err(shared, job, JobError::Codec { error: e.to_string() });
+                    let error = match e {
+                        // `JobError::Codec` already prints "codec error".
+                        CulzssError::Codec(inner) => inner.to_string(),
+                        other => other.to_string(),
+                    };
+                    resolve_err(shared, job, JobError::Codec { error });
                     None
                 }
                 Err(e) => {

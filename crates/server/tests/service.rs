@@ -513,9 +513,10 @@ fn v3_engine_knob_flows_through_the_job_path() {
 
 #[test]
 fn cpu_lane_refuses_a_zero_chunk_size_with_one_typed_error() {
-    // The device path refuses the parameters, the retry degrades onto
-    // the CPU worker, and the CPU encoder must refuse them too — typed,
+    // Whichever lane picks the job up refuses the parameters — typed,
     // not by panicking the worker — so the ticket resolves exactly once.
+    // A configuration error is not a device failure: it neither feeds
+    // the breaker nor burns a retry.
     let mut config = quick_config();
     config.params.chunk_size = 0;
     let service = Service::start(config);
@@ -526,5 +527,6 @@ fn cpu_lane_refuses_a_zero_chunk_size_with_one_typed_error() {
     }
     let stats = service.shutdown();
     assert_eq!((stats.accepted, stats.completed, stats.failed), (1, 0, 1), "{stats:?}");
+    assert_eq!((stats.device_failures, stats.retried), (0, 0), "{stats:?}");
     assert!(stats.reconciles(), "{stats:?}");
 }
