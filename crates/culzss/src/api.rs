@@ -325,12 +325,9 @@ impl Culzss {
         let d2h = ledger.copy(device, Direction::DeviceToHost, container.total_len as usize);
 
         let started = Instant::now();
-        let mut out = Vec::with_capacity(container.total_len as usize);
-        for chunk in &chunks {
-            out.extend_from_slice(chunk);
-        }
-        // Recycle the per-chunk buffers for the next call's bodies.
-        self.pool.release_all_bytes(chunks);
+        // Decoded chunks are dropped, not pooled: nothing draws them back
+        // out, so the free list would grow by one buffer per chunk.
+        let out = chunks.concat();
         let cpu_seconds = started.elapsed().as_secs_f64();
         if out.len() as u64 != container.total_len {
             return Err(culzss_lzss::Error::SizeMismatch {
@@ -539,6 +536,24 @@ mod tests {
             let clone = culzss.clone();
             clone.compress(&input).unwrap();
             assert!(clone.pool_stats().reuses > warm.reuses, "{version:?}");
+        }
+    }
+
+    #[test]
+    fn round_trips_do_not_grow_the_byte_free_list() {
+        // Compress draws its chunk bodies from the free list and returns
+        // them; decoded chunks must not pile up behind them.
+        let input = Dataset::CFiles.generate(16 * 1024, 8);
+        for version in [Version::V1, Version::V2, Version::V3] {
+            let culzss = Culzss::new(version).with_workers(2);
+            let mut after_first = None;
+            for round in 0..20 {
+                let (stream, _) = culzss.compress(&input).unwrap();
+                assert_eq!(culzss.decompress(&stream).unwrap().0, input, "{version:?}");
+                let free = culzss.pool.free_byte_buffers();
+                let first = *after_first.get_or_insert(free);
+                assert_eq!(free, first, "{version:?}: free list grew by round {round}");
+            }
         }
     }
 

@@ -29,8 +29,9 @@ use culzss_gpusim::exec::{BlockCtx, BlockKernel, LaunchStats, ThreadCtx};
 use culzss_gpusim::{DeviceSpec, GpuSim, LaunchConfig};
 use culzss_lzss::config::LzssConfig;
 use culzss_lzss::error::Error;
+use culzss_lzss::format::TokenFormat;
 use culzss_lzss::token::Token;
-use culzss_lzss::{format, token};
+use culzss_lzss::{format, serial, token};
 
 /// Issued instructions per decoded token (flag test, field extraction,
 /// branch — serial dependent chain, so effectively latency-priced).
@@ -122,12 +123,29 @@ impl BlockKernel for DecompressKernel<'_> {
         let body = &self.payload[range.clone()];
         let mut out = Err(Error::UnexpectedEof { context: "chunk body" });
         block.single_thread(|t| {
-            // Decode into tokens first so token counts can be metered,
-            // then expand — functionally identical to the fused path.
-            let decoded = format::decode(body, &self.config, *unc_len).and_then(|tokens| {
-                t.charge_ops(tokens.len() as u64 * DEC_OPS_PER_TOKEN);
-                token::expand(&tokens, &self.config)
-            });
+            // One fused pass writes the chunk and counts its tokens. A
+            // chunk that fails it (or a flag-bit body) reruns as token
+            // decode + expand, so the error, and the token ops charged
+            // before it, are the ones the warp engine reports.
+            let fused = match self.config.format {
+                TokenFormat::Fixed16 => {
+                    let mut bytes = Vec::new();
+                    serial::decode_fixed16_into(body, &self.config, *unc_len, &mut bytes)
+                        .ok()
+                        .map(|n_tokens| (bytes, n_tokens))
+                }
+                TokenFormat::FlagBit { .. } => None,
+            };
+            let decoded = match fused {
+                Some((bytes, n_tokens)) => {
+                    t.charge_ops(n_tokens as u64 * DEC_OPS_PER_TOKEN);
+                    Ok(bytes)
+                }
+                None => format::decode(body, &self.config, *unc_len).and_then(|tokens| {
+                    t.charge_ops(tokens.len() as u64 * DEC_OPS_PER_TOKEN);
+                    token::expand(&tokens, &self.config)
+                }),
+            };
             // Compressed bytes stream through L1 (sequential single-lane
             // reads); output writes are sequential too.
             t.global_cached_bulk(body.len() as u64);
@@ -555,7 +573,6 @@ mod tests {
     use super::*;
     use crate::params::CulzssParams;
     use culzss_gpusim::{DeviceSpec, GpuSim};
-    use culzss_lzss::serial;
 
     fn sim() -> GpuSim {
         GpuSim::new(DeviceSpec::gtx480()).with_workers(4)

@@ -10,10 +10,10 @@
 //!
 //! The kernel records a `(offset, length)` candidate for **every** input
 //! position — including positions a serial parser would skip — and the
-//! CPU selection pass ([`crate::metered::select_tokens`]) later removes
-//! the redundant ones and generates the flags. This split is the paper's
-//! §III-B3 "CPU steps" and the source of both V2's SIMD efficiency and
-//! its weakness on highly compressible data.
+//! CPU selection pass ([`crate::metered::select_records_into`]) later
+//! removes the redundant ones and generates the flags. This split is the
+//! paper's §III-B3 "CPU steps" and the source of both V2's SIMD
+//! efficiency and its weakness on highly compressible data.
 
 use culzss_gpusim::exec::{BlockCtx, BlockKernel};
 use culzss_lzss::config::LzssConfig;
@@ -144,7 +144,7 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metered::{greedy_parse_into, select_tokens, PosMatch};
+    use crate::metered::{greedy_parse_into, select_records_into};
     use culzss_gpusim::{DeviceSpec, GpuSim};
 
     fn sim() -> GpuSim {
@@ -169,11 +169,8 @@ mod tests {
         let input = b"verify the CPU selection path end to end; repeat repeat ".repeat(250);
         let (records, _) = run(&sim(), &input, &params).unwrap();
         for (chunk, recs) in input.chunks(params.chunk_size).zip(&records) {
-            let matches: Vec<PosMatch> = recs
-                .iter()
-                .map(|&(distance, length)| PosMatch { distance, length, work: Default::default() })
-                .collect();
-            let selected = select_tokens(chunk, &matches, &config);
+            let mut selected = Vec::new();
+            select_records_into(chunk, recs, &config, &mut selected);
             let mut greedy = Vec::new();
             greedy_parse_into(chunk, &config, &mut greedy);
             assert_eq!(selected, greedy);

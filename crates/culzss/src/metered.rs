@@ -436,23 +436,12 @@ pub struct PosMatch {
     pub work: Work,
 }
 
-/// The CPU-side selection pass of V2: walk the positions greedily, taking
-/// recorded matches and skipping the positions they cover. Produces the
-/// same tokens as [`greedy_parse_into`] would.
-pub fn select_tokens(chunk: &[u8], matches: &[PosMatch], config: &LzssConfig) -> Vec<Token> {
-    debug_assert_eq!(chunk.len(), matches.len());
-    let mut tokens = Vec::with_capacity(chunk.len() / 4);
-    select_with(chunk, config, &mut tokens, |pos| {
-        let m = matches[pos];
-        (m.distance, m.length)
-    });
-    tokens
-}
-
-/// [`select_tokens`] directly over the raw `(distance, length)` records
-/// the V2 kernel ships back, appending into a reusable token buffer —
-/// the allocation-free selection path of the pipeline (no intermediate
-/// [`PosMatch`] array, no fresh token vector per chunk).
+/// The CPU-side selection pass of V2, directly over the raw
+/// `(distance, length)` records the V2 kernel ships back: walk the
+/// positions greedily, taking recorded matches and skipping the positions
+/// they cover, appending into a reusable token buffer. Produces the same
+/// tokens as [`greedy_parse_into`] would, with no intermediate
+/// [`PosMatch`] array and no fresh token vector per chunk.
 pub fn select_records_into(
     chunk: &[u8],
     records: &[(u16, u16)],
@@ -460,18 +449,9 @@ pub fn select_records_into(
     tokens: &mut Vec<Token>,
 ) {
     debug_assert_eq!(chunk.len(), records.len());
-    select_with(chunk, config, tokens, |pos| records[pos]);
-}
-
-fn select_with(
-    chunk: &[u8],
-    config: &LzssConfig,
-    tokens: &mut Vec<Token>,
-    record_at: impl Fn(usize) -> (u16, u16),
-) {
     let mut pos = 0usize;
     while pos < chunk.len() {
-        let (distance, length) = record_at(pos);
+        let (distance, length) = records[pos];
         if length as usize >= config.min_match {
             tokens.push(Token::Match { distance, length });
             pos += length as usize;
@@ -674,24 +654,16 @@ mod tests {
     }
 
     #[test]
-    fn selection_reproduces_greedy_parse() {
+    fn record_selection_reproduces_greedy_parse() {
         let config = v2();
         let data = b"select me, select me again, and again and again".repeat(5);
-        let selected = select_tokens(&data, &all_positions(&data, &config), &config);
-        let (greedy, _) = greedy_parse(&data, &config);
-        assert_eq!(selected, greedy);
-    }
-
-    #[test]
-    fn record_selection_matches_posmatch_selection() {
-        let config = v2();
-        let data = b"raw records and PosMatch selection must agree, agree, agree".repeat(6);
-        let matches = all_positions(&data, &config);
-        let records: Vec<(u16, u16)> = matches.iter().map(|m| (m.distance, m.length)).collect();
+        let records: Vec<(u16, u16)> =
+            all_positions(&data, &config).iter().map(|m| (m.distance, m.length)).collect();
         let mut tokens = vec![Token::Literal(99)]; // pre-existing content survives
         select_records_into(&data, &records, &config, &mut tokens);
         assert_eq!(tokens[0], Token::Literal(99));
-        assert_eq!(&tokens[1..], select_tokens(&data, &matches, &config));
+        let (greedy, _) = greedy_parse(&data, &config);
+        assert_eq!(&tokens[1..], greedy);
     }
 
     #[test]

@@ -25,11 +25,12 @@ const MAX_POOLED: usize = 8192;
 /// Recycled scratch buffers for the compression pipeline.
 ///
 /// The V1/V2 hot paths used to allocate and free a `Vec` per chunk —
-/// token scratch, encoded body, decoded chunk — thousands of times per
-/// launch. The pool keeps those buffers alive across chunks *and* across
-/// calls: [`crate::Culzss`] owns one behind an `Arc`, so clones of the
-/// library object share it and repeated calls run allocation-free in the
-/// steady state. Buffers come back cleared but with capacity intact.
+/// token scratch and encoded body — thousands of times per launch. The
+/// pool keeps those buffers alive across chunks *and* across calls:
+/// [`crate::Culzss`] owns one behind an `Arc`, so clones of the library
+/// object share it and repeated calls run allocation-free in the steady
+/// state. Buffers come back cleared but with capacity intact. Decoded
+/// chunks are not pooled: no path draws them back out.
 #[derive(Debug, Default)]
 pub struct BufferPool {
     bytes: Mutex<Vec<Vec<u8>>>,
@@ -147,6 +148,12 @@ impl BufferPool {
             panic!("poison tokens free-list");
         }));
         assert!(self.bytes.is_poisoned() && self.tokens.is_poisoned());
+    }
+
+    /// Byte buffers waiting on the free list.
+    #[cfg(test)]
+    pub(crate) fn free_byte_buffers(&self) -> usize {
+        lock_recovering(&self.bytes).len()
     }
 
     /// Current reuse counters.

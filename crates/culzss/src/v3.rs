@@ -437,7 +437,7 @@ pub fn run_pooled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metered::{select_tokens, PosMatch};
+    use crate::metered::select_records_into;
     use culzss_datasets::Dataset;
     use culzss_gpusim::{DeviceSpec, GpuSim};
 
@@ -478,15 +478,8 @@ mod tests {
             assert_eq!(bodies.len(), records.len());
             for ((chunk, recs), body) in input.chunks(params.chunk_size).zip(&records).zip(&bodies)
             {
-                let matches: Vec<PosMatch> = recs
-                    .iter()
-                    .map(|&(distance, length)| PosMatch {
-                        distance,
-                        length,
-                        work: Default::default(),
-                    })
-                    .collect();
-                let tokens = select_tokens(chunk, &matches, &config);
+                let mut tokens = Vec::new();
+                select_records_into(chunk, recs, &config, &mut tokens);
                 let mut expect = Vec::new();
                 format::encode_into(&tokens, &config, &mut expect);
                 assert_eq!(body, &expect, "{dataset:?}: V3 body diverged from V2+selection");

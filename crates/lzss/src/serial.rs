@@ -219,7 +219,9 @@ pub fn decode_body(body: &[u8], config: &LzssConfig, uncompressed_len: usize) ->
     Ok(out)
 }
 
-/// [`decode_body`] appending into an existing buffer.
+/// [`decode_body`] appending into an existing buffer. Fixed16 bodies go
+/// through the fused decoder [`decode_fixed16_into`]; on error `out`
+/// holds its old contents plus the bytes decoded before the fault.
 pub fn decode_body_into(
     body: &[u8],
     config: &LzssConfig,
@@ -231,7 +233,7 @@ pub fn decode_body_into(
         TokenFormat::FlagBit { offset_bits, length_bits } => {
             decode_flagbit_into(body, config, uncompressed_len, offset_bits, length_bits, out, base)
         }
-        TokenFormat::Fixed16 => decode_fixed16_into(body, config, uncompressed_len, out, base),
+        TokenFormat::Fixed16 => decode_fixed16_into(body, config, uncompressed_len, out).map(drop),
     }
 }
 
@@ -282,43 +284,111 @@ fn decode_flagbit_into(
     check_exact(out.len() - base, uncompressed_len)
 }
 
-fn decode_fixed16_into(
+/// The Fixed16 arm of [`decode_body_into`] in one fused pass, returning
+/// the number of tokens decoded (`config.format` is not consulted).
+///
+/// It writes straight into `out`'s zero-filled tail: a flag byte of eight
+/// literals lands as one 8-byte copy, a match reaching back 16 bytes or
+/// more copies in 16-byte steps, another match whose source ends before
+/// its destination starts is one `copy_within`, and only an overlapping
+/// match (distance < length) copies byte by byte. Each token is checked
+/// as it is read, so a damaged body fails with the first fault in stream
+/// order. A body that decodes yields the bytes and token count of
+/// [`crate::format::decode`] followed by [`crate::token::expand`]. The
+/// tail is never longer than the body can decode to (one body byte
+/// yields at most `max_match` output bytes), so an absurd
+/// `uncompressed_len` fails without a matching allocation.
+pub fn decode_fixed16_into(
     body: &[u8],
     config: &LzssConfig,
     uncompressed_len: usize,
     out: &mut Vec<u8>,
-    base: usize,
-) -> Result<()> {
+) -> Result<usize> {
+    let base = out.len();
+    let room = uncompressed_len.min(body.len().saturating_mul(config.max_match.max(1)));
+    out.resize(base + room, 0);
+    let dst = &mut out[base..];
+    let mut p = 0usize;
     let mut pos = 0usize;
-    'groups: while out.len() - base < uncompressed_len {
-        let flags = *body.get(pos).ok_or(Error::UnexpectedEof { context: "flag byte" })?;
+    let mut tokens = 0usize;
+    let decoded = 'groups: loop {
+        if p >= uncompressed_len {
+            break Ok(());
+        }
+        let Some(&flags) = body.get(pos) else {
+            break Err(Error::UnexpectedEof { context: "flag byte" });
+        };
         pos += 1;
-        for i in 0..8 {
-            if out.len() - base >= uncompressed_len {
-                break 'groups;
-            }
-            if flags & (0x80 >> i) != 0 {
-                let offset =
-                    *body.get(pos).ok_or(Error::UnexpectedEof { context: "match offset" })?;
-                let biased =
-                    *body.get(pos + 1).ok_or(Error::UnexpectedEof { context: "match length" })?;
-                pos += 2;
-                copy_match(
-                    out,
-                    base,
-                    usize::from(offset) + 1,
-                    usize::from(biased) + config.min_match,
-                    config,
-                )?;
-            } else {
-                let byte =
-                    *body.get(pos).ok_or(Error::UnexpectedEof { context: "literal byte" })?;
-                pos += 1;
-                out.push(byte);
+        if flags == 0 && uncompressed_len - p >= 8 {
+            if let Some(literals) = body.get(pos..pos + 8) {
+                dst[p..p + 8].copy_from_slice(literals);
+                p += 8;
+                pos += 8;
+                tokens += 8;
+                continue;
             }
         }
-    }
-    check_exact(out.len() - base, uncompressed_len)
+        for i in 0..8 {
+            if p >= uncompressed_len {
+                break 'groups Ok(());
+            }
+            if flags & (0x80 >> i) != 0 {
+                let Some(&offset) = body.get(pos) else {
+                    break 'groups Err(Error::UnexpectedEof { context: "match offset" });
+                };
+                let Some(&biased) = body.get(pos + 1) else {
+                    break 'groups Err(Error::UnexpectedEof { context: "match length" });
+                };
+                pos += 2;
+                let distance = usize::from(offset) + 1;
+                let length = usize::from(biased) + config.min_match;
+                if length > config.max_match {
+                    break 'groups Err(Error::InvalidLength { length, max: config.max_match });
+                }
+                if distance > p || distance > config.window_size {
+                    break 'groups Err(Error::InvalidDistance {
+                        distance,
+                        available: p.min(config.window_size),
+                    });
+                }
+                let end = p + length;
+                if end > dst.len() {
+                    // Runs past `uncompressed_len`: the size check below
+                    // fails the chunk, so the bytes are not needed.
+                    p = end;
+                    break 'groups Ok(());
+                }
+                let src = p - distance;
+                if distance >= 16 && p + length.next_multiple_of(16) <= dst.len() {
+                    // 16-byte steps, each reading only bytes written before
+                    // it; the overshoot past `end` is rewritten by the
+                    // tokens that follow (or trimmed on exit).
+                    for k in (0..length).step_by(16) {
+                        dst.copy_within(src + k..src + k + 16, p + k);
+                    }
+                } else if distance >= length {
+                    dst.copy_within(src..src + length, p);
+                } else {
+                    for k in p..end {
+                        dst[k] = dst[k - distance];
+                    }
+                }
+                p = end;
+            } else {
+                let Some(&byte) = body.get(pos) else {
+                    break 'groups Err(Error::UnexpectedEof { context: "literal byte" });
+                };
+                pos += 1;
+                dst[p] = byte;
+                p += 1;
+            }
+            tokens += 1;
+        }
+    };
+    out.truncate(base + p.min(room));
+    decoded?;
+    check_exact(p, uncompressed_len)?;
+    Ok(tokens)
 }
 
 fn check_exact(actual: usize, expected: usize) -> Result<()> {
@@ -465,6 +535,63 @@ mod tests {
         decode_body_into(&format::encode(&a, &config), &config, 12, &mut out).unwrap();
         decode_body_into(&format::encode(&b, &config), &config, 12, &mut out).unwrap();
         assert_eq!(out, b"first chunk second chunk");
+    }
+
+    #[test]
+    fn fused_fixed16_decoder_copies_runs_overlaps_and_literal_groups() {
+        let config = LzssConfig::culzss_v2();
+        let tokens = [
+            Token::Literal(b'a'),
+            // Distance 1: a run of the previous byte.
+            Token::Match { distance: 1, length: config.max_match as u16 },
+            Token::Literal(b'b'),
+            Token::Literal(b'c'),
+            // Overlapping (distance < length) and non-overlapping copies.
+            Token::Match { distance: 2, length: 7 },
+            Token::Match { distance: 9, length: 4 },
+        ];
+        // Then a flag byte's worth of literals, which takes the block copy.
+        let literals = b"eightlit".map(Token::Literal);
+        let tokens: Vec<Token> = tokens.iter().chain(&literals).copied().collect();
+        let body = format::encode(&tokens, &config);
+        let expected = expand(&tokens, &config).unwrap();
+        for prefix in [&b""[..], b"already decoded"] {
+            let mut out = prefix.to_vec();
+            let n = decode_fixed16_into(&body, &config, expected.len(), &mut out).unwrap();
+            assert_eq!(n, tokens.len());
+            assert_eq!(&out[..prefix.len()], prefix);
+            assert_eq!(&out[prefix.len()..], &expected[..]);
+        }
+    }
+
+    #[test]
+    fn fused_fixed16_decoder_fails_at_the_first_fault_and_keeps_what_it_decoded() {
+        let config = LzssConfig::culzss_v1();
+        // Literal, a valid 6-byte match, then one reaching back too far.
+        let body = [0b0110_0000u8, b'x', 0, 3, 200, 0];
+        let mut out = b"prefix".to_vec();
+        let err = decode_fixed16_into(&body, &config, 100, &mut out).unwrap_err();
+        assert!(matches!(err, Error::InvalidDistance { distance: 201, available: 7 }), "{err}");
+        assert_eq!(out, b"prefixxxxxxxx");
+        // A match running past the declared length is a size mismatch.
+        let err = decode_fixed16_into(&body[..4], &config, 3, &mut Vec::new()).unwrap_err();
+        assert!(matches!(err, Error::SizeMismatch { expected: 3, actual: 7 }), "{err}");
+    }
+
+    #[test]
+    fn absurd_declared_length_fills_no_more_than_the_body_can_decode_to() {
+        for config in [LzssConfig::culzss_v1(), LzssConfig::culzss_v2()] {
+            let data = b"run run run run run run run".repeat(9);
+            let body = format::encode(&tokenize(&data, &config), &config);
+            let bound = body.len() * config.max_match;
+            for claimed in [data.len() + 1, bound + 1, u32::MAX as usize, usize::MAX] {
+                let mut out = Vec::new();
+                let err = decode_fixed16_into(&body, &config, claimed, &mut out).unwrap_err();
+                assert!(matches!(err, Error::UnexpectedEof { .. }), "{claimed}: {err}");
+                assert!(out.capacity() <= bound, "{claimed}: filled {}", out.capacity());
+                assert_eq!(out, data, "{claimed}: the decoded prefix stays");
+            }
+        }
     }
 
     #[test]

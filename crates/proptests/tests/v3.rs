@@ -13,7 +13,7 @@
 //! counterexample token stream here, long before the byte-compat
 //! differential suite points at a whole corpus.
 
-use culzss::metered::{select_tokens, MatchSearcher, PosMatch};
+use culzss::metered::{select_records_into, MatchSearcher};
 use culzss::CulzssParams;
 use culzss_lzss::format;
 use culzss_lzss::token::Token;
@@ -37,8 +37,11 @@ fn inputs() -> impl Strategy<Value = Vec<u8>> {
 fn v3_tokens(chunk: &[u8]) -> Vec<Token> {
     let config = CulzssParams::v3().lzss_config();
     let mut searcher = MatchSearcher::new(chunk, &config);
-    let records: Vec<PosMatch> = (0..chunk.len()).map(|pos| searcher.search(pos)).collect();
-    select_tokens(chunk, &records, &config)
+    let records: Vec<(u16, u16)> =
+        (0..chunk.len()).map(|pos| searcher.search(pos)).map(|m| (m.distance, m.length)).collect();
+    let mut tokens = Vec::new();
+    select_records_into(chunk, &records, &config, &mut tokens);
+    tokens
 }
 
 /// The compaction kernel's closed-form output offset for token `i`

@@ -160,15 +160,8 @@ fn multi_gpu_extension_compresses_consistently() {
         .chunks(params.chunk_size)
         .zip(&records)
         .map(|(chunk, recs)| {
-            let matches: Vec<culzss::metered::PosMatch> = recs
-                .iter()
-                .map(|&(distance, length)| culzss::metered::PosMatch {
-                    distance,
-                    length,
-                    work: Default::default(),
-                })
-                .collect();
-            let tokens = culzss::metered::select_tokens(chunk, &matches, &config);
+            let mut tokens = Vec::new();
+            culzss::metered::select_records_into(chunk, recs, &config, &mut tokens);
             culzss_lzss::format::encode(&tokens, &config)
         })
         .collect();
