@@ -226,3 +226,127 @@ fn regenerate_golden_fixtures() {
         std::fs::write(fixture_path(engine), &stream).unwrap();
     }
 }
+
+/// `tests/golden/model_counts.txt` pins the modelled cost of every
+/// CULZSS launch over two inputs: each field of the launch's merged
+/// `BlockMetrics` plus `cost.cycles`, floats by their exact bits. The
+/// first input is the wire-format fixture input; the second is a
+/// highly compressible input of odd length, whose long matches cross
+/// the V3 selection walk's segment boundaries and whose last chunk and
+/// segment are partial. A kernel refactor must leave every line
+/// unchanged; an intentional change to what a kernel logs or charges
+/// regenerates the file with
+/// `cargo test --test golden -- --ignored regenerate`.
+fn model_counts_path() -> PathBuf {
+    fixture_path("v1").with_file_name("model_counts.txt")
+}
+
+fn model_count_inputs() -> Vec<(&'static str, Vec<u8>)> {
+    vec![
+        ("c-files-8192", fixture_input()),
+        ("highly-6001", Dataset::HighlyCompressible.generate(6001, SEED)),
+    ]
+}
+
+/// `input launch field value` lines for every launch over every input.
+fn model_count_lines() -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for (name, input) in model_count_inputs() {
+        let mut launches = Vec::new();
+        for (label, version, shared) in [
+            ("enc-v1", Version::V1, true),
+            ("enc-v2", Version::V2, true),
+            ("enc-v2-global", Version::V2, false),
+            ("enc-v3", Version::V3, true),
+            ("enc-v3-global", Version::V3, false),
+        ] {
+            let mut params = CulzssParams::for_version(version);
+            params.use_shared_memory = shared;
+            let engine = Culzss::with_device(DeviceSpec::gtx480(), params).with_workers(2);
+            let (stream, stats) = engine.compress(&input).unwrap();
+            launches.push((label, stats.launch.unwrap()));
+            if label == "enc-v2" {
+                for (label, decode) in
+                    [("dec-serial", DecodeEngine::Serial), ("dec-warp", DecodeEngine::WarpParallel)]
+                {
+                    let (restored, stats) =
+                        engine.clone().with_decode_engine(decode).decompress(&stream).unwrap();
+                    assert_eq!(restored, input, "[{name}/{label}] round trip failed");
+                    launches.push((label, stats.launch.unwrap()));
+                }
+            }
+        }
+        for (label, launch) in launches {
+            let m = &launch.metrics;
+            let fields: [(&str, String); 12] = [
+                ("warp_issue_ops", format!("{:#018x}", m.warp_issue_ops.to_bits())),
+                ("thread_ops", m.thread_ops.to_string()),
+                ("global_transactions", format!("{:#018x}", m.global_transactions.to_bits())),
+                ("global_bytes", m.global_bytes.to_string()),
+                ("shared_cycles", format!("{:#018x}", m.shared_cycles.to_bits())),
+                ("shared_accesses", m.shared_accesses.to_string()),
+                ("cached_accesses", m.cached_accesses.to_string()),
+                ("barriers", m.barriers.to_string()),
+                ("blocks", m.blocks.to_string()),
+                ("shared_mem_used", m.shared_mem_used.to_string()),
+                ("block_dim", m.block_dim.to_string()),
+                ("cost.cycles", format!("{:#018x}", launch.cost.cycles.to_bits())),
+            ];
+            for (field, value) in fields {
+                writeln!(out, "{name} {label} {field} {value}").unwrap();
+            }
+        }
+    }
+    out
+}
+
+/// The highly compressible input must exercise the V3 walk's resume
+/// path: some selected match starts in one 128-position segment and
+/// ends in the next.
+#[test]
+fn model_count_inputs_cross_segment_boundaries() {
+    let params = CulzssParams::v2();
+    let config = params.lzss_config();
+    let (_, input) = model_count_inputs().pop().unwrap();
+    let sim = culzss_gpusim::GpuSim::new(DeviceSpec::gtx480()).with_workers(2);
+    let (records, _) = culzss::kernel_v2::run(&sim, &input, &params).unwrap();
+    let mut crossings = 0usize;
+    for (chunk, recs) in input.chunks(params.chunk_size).zip(&records) {
+        let mut tokens = Vec::new();
+        culzss::metered::select_records_into(chunk, recs, &config, &mut tokens);
+        let mut pos = 0usize;
+        for token in tokens {
+            let len = token.coverage();
+            let tpb = params.threads_per_block;
+            crossings += usize::from(token.is_match() && pos / tpb != (pos + len - 1) / tpb);
+            pos += len;
+        }
+    }
+    assert!(crossings > 0, "no selected match crosses a segment boundary");
+}
+
+#[test]
+fn launches_reproduce_the_golden_model_counts() {
+    let path = model_counts_path();
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing {} — regenerate with the ignored test: {e}", path.display())
+    });
+    let fresh = model_count_lines();
+    let drifted: Vec<_> = golden
+        .lines()
+        .zip(fresh.lines())
+        .filter(|(g, f)| g != f)
+        .map(|(g, f)| format!("  golden {g}\n  fresh  {f}"))
+        .collect();
+    assert!(drifted.is_empty(), "modelled counts drifted:\n{}", drifted.join("\n"));
+    assert_eq!(golden.lines().count(), fresh.lines().count(), "launch or field set changed");
+}
+
+/// Rewrites `tests/golden/model_counts.txt` from the current kernels.
+/// Ignored by default; run only after an intentional cost-model change.
+#[test]
+#[ignore = "rewrites the modelled-count fixture; run only after an intentional cost-model change"]
+fn regenerate_model_counts() {
+    std::fs::write(model_counts_path(), model_count_lines()).unwrap();
+}
