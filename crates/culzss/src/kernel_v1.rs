@@ -143,7 +143,7 @@ pub fn run_pooled(
 ) -> Result<(Vec<Vec<u8>>, culzss_gpusim::exec::LaunchStats), culzss_gpusim::exec::LaunchError> {
     let device = sim.device();
     let kernel = V1Kernel::new(input, params, device.warp_size, device.shared_banks, pool);
-    let result = sim.launch(launch_config(input, params), &kernel)?;
+    let result = sim.launch(params.launch_config(input.len()), &kernel)?;
     let bodies = collect_bodies(result.outputs, params.chunk_count(input.len()));
     Ok((bodies, result.stats))
 }
@@ -156,14 +156,6 @@ pub fn run(
     params: &CulzssParams,
 ) -> Result<(Vec<Vec<u8>>, culzss_gpusim::exec::LaunchStats), culzss_gpusim::exec::LaunchError> {
     run_pooled(sim, input, params, &BufferPool::new())
-}
-
-fn launch_config(input: &[u8], params: &CulzssParams) -> culzss_gpusim::LaunchConfig {
-    culzss_gpusim::LaunchConfig {
-        grid_dim: params.grid_dim(input.len()),
-        block_dim: params.threads_per_block,
-        shared_bytes: params.shared_bytes(),
-    }
 }
 
 fn collect_bodies(outputs: Vec<Vec<Vec<u8>>>, chunk_count: usize) -> Vec<Vec<u8>> {

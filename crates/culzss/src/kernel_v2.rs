@@ -14,8 +14,13 @@
 //! removes the redundant ones and generates the flags. This split is the
 //! paper's §III-B3 "CPU steps" and the source of both V2's SIMD
 //! efficiency and its weakness on highly compressible data.
+//!
+//! The refill and the search run through one crate-internal segment
+//! loop, `ChunkMatcher::match_segment`, that [`crate::v3`] shares: the
+//! two kernels differ only in where each record goes. V2 stores it to
+//! global memory; V3 parks it in shared memory for its on-device walk.
 
-use culzss_gpusim::exec::{BlockCtx, BlockKernel};
+use culzss_gpusim::exec::{BlockCtx, BlockKernel, LaunchError, LaunchStats, ThreadCtx};
 use culzss_lzss::config::LzssConfig;
 
 use crate::metered::MatchSearcher;
@@ -57,67 +62,109 @@ impl BlockKernel for V2MatchKernel<'_> {
     type Output = Vec<MatchRecord>;
 
     fn run_block(&self, block: &mut BlockCtx) -> Vec<MatchRecord> {
-        let chunk_start = (self.chunk_offset + block.block_idx) * self.params.chunk_size;
-        let chunk_end = (chunk_start + self.params.chunk_size).min(self.input.len());
-        let chunk = &self.input[chunk_start..chunk_end];
-        let mut records: Vec<MatchRecord> = vec![(0, 0); chunk.len()];
-
-        let t_per_block = block.block_dim;
-        // Phase 2 searches its positions in ascending order, so one
-        // searcher serves the whole chunk.
-        let mut searcher = MatchSearcher::new(chunk, &self.config);
-        let segments = chunk.len().div_ceil(t_per_block);
-        for seg in 0..segments {
-            let seg_base = seg * t_per_block;
-            // Phase 1: cooperative refill of the extended lookahead buffer
-            // — one byte per thread, consecutive addresses, coalesced.
-            block.par_threads(|t| {
-                let p = seg_base + t.tid;
-                if p < chunk.len() {
-                    t.global_read((chunk_start + p) as u64, 1);
-                    t.shared_write((self.params.window_size + t.tid) as u64, 1);
-                }
-                // The lookahead extension (up to max_match bytes past the
-                // block's span, so the last positions can match full
-                // length) is staged by the first max_match threads.
-                if t.tid < self.params.max_match {
-                    let p = seg_base + t_per_block + t.tid;
-                    if p < chunk.len() {
-                        t.global_read((chunk_start + p) as u64, 1);
-                        t.shared_write((self.params.window_size + t_per_block + t.tid) as u64, 1);
-                    }
-                }
-            });
-            // Phase 2: every thread matches its position against the
-            // window. The staggered start offsets make the shared-memory
-            // traffic conflict-free (modelled as 1-way).
-            block.par_threads(|t| {
-                let p = seg_base + t.tid;
-                if p >= chunk.len() {
-                    return;
-                }
-                let m = searcher.search(p);
-                t.charge_ops(m.work.ops());
-                if self.params.use_shared_memory {
-                    // Exact ranged reads hand the sanitizer this phase's
-                    // read set — the window scan (uniform across the warp,
-                    // a broadcast) and this thread's lookahead span — while
-                    // the inner-loop byte traffic stays on the bulk path.
-                    t.shared_read(0, self.params.window_size as u32);
-                    let span = self.params.max_match.min(chunk.len() - p).max(1);
-                    t.shared_read((self.params.window_size + t.tid) as u64, span as u32);
-                    t.shared_bulk(m.work.accesses(), 1);
-                } else {
-                    t.global_cached_bulk(m.work.accesses());
-                }
-                records[p] = (m.distance, m.length);
+        let chunk_idx = self.chunk_offset + block.block_idx;
+        let mut matcher = ChunkMatcher::new(self.input, chunk_idx, self.params, &self.config);
+        let (n, base) = (self.input.len(), matcher.chunk_start);
+        let mut records: Vec<MatchRecord> = vec![(0, 0); matcher.chunk.len()];
+        for seg_base in (0..matcher.chunk.len()).step_by(block.block_dim) {
+            matcher.match_segment(block, seg_base, |t, p, rec| {
+                records[p] = rec;
                 // Write the two result arrays (offset, length) back to
                 // global memory — consecutive u16s, coalesced.
-                t.global_write((self.input.len() + (chunk_start + p) * 2) as u64, 2);
-                t.global_write((self.input.len() * 3 + (chunk_start + p) * 2) as u64, 2);
+                t.global_write((n + (base + p) * 2) as u64, 2);
+                t.global_write((n * 3 + (base + p) * 2) as u64, 2);
             });
         }
         records
+    }
+}
+
+/// Raw bytes of the match phase's shared staging buffer: the window at
+/// 0, thread `tid`'s lookahead byte at `window + tid`, and the lookahead
+/// extension at `window + threads_per_block + tid`. V3 keeps the same
+/// buffer at offset 0, ahead of its pipeline arena.
+pub(crate) fn staging_bytes(params: &CulzssParams) -> usize {
+    params.window_size + params.threads_per_block + params.max_match
+}
+
+/// Phases 1 and 2 of both V2 and V3 over one block's `chunk`, whose
+/// first byte sits at global address `chunk_start`, a segment of
+/// `block_dim` positions at a time. The searcher is queried in ascending
+/// position order, so one serves the whole chunk.
+pub(crate) struct ChunkMatcher<'a> {
+    params: &'a CulzssParams,
+    pub(crate) chunk: &'a [u8],
+    pub(crate) chunk_start: usize,
+    searcher: MatchSearcher<'a>,
+}
+
+impl<'a> ChunkMatcher<'a> {
+    /// The matcher for chunk `chunk_idx` of `input`.
+    pub(crate) fn new(
+        input: &'a [u8],
+        chunk_idx: usize,
+        params: &'a CulzssParams,
+        config: &LzssConfig,
+    ) -> Self {
+        let chunk_start = chunk_idx * params.chunk_size;
+        let chunk = &input[chunk_start..(chunk_start + params.chunk_size).min(input.len())];
+        Self { params, chunk, chunk_start, searcher: MatchSearcher::new(chunk, config) }
+    }
+
+    /// The segment whose first position is `seg_base`: the cooperative
+    /// refill of the staging buffer, then one position per thread
+    /// searched against the window. `store` gets each live thread's
+    /// position and record after the search is metered, and logs where
+    /// the record goes.
+    pub(crate) fn match_segment(
+        &mut self,
+        block: &mut BlockCtx,
+        seg_base: usize,
+        mut store: impl FnMut(&mut ThreadCtx, usize, MatchRecord),
+    ) {
+        let (params, chunk, chunk_start) = (self.params, self.chunk, self.chunk_start);
+        let (window, tpb) = (params.window_size, block.block_dim);
+        // Phase 1: cooperative refill of the extended lookahead buffer —
+        // one byte per thread, consecutive addresses, coalesced. The
+        // extension (up to max_match bytes past the block's span, so the
+        // last positions can match full length) is staged by the first
+        // max_match threads.
+        block.par_threads(|t| {
+            let p = seg_base + t.tid;
+            if p < chunk.len() {
+                t.global_read((chunk_start + p) as u64, 1);
+                t.shared_write((window + t.tid) as u64, 1);
+            }
+            let p = p + tpb;
+            if t.tid < params.max_match && p < chunk.len() {
+                t.global_read((chunk_start + p) as u64, 1);
+                t.shared_write((window + tpb + t.tid) as u64, 1);
+            }
+        });
+        // Phase 2: every thread matches its position against the window.
+        // The staggered start offsets make the shared-memory traffic
+        // conflict-free (modelled as 1-way).
+        block.par_threads(|t| {
+            let p = seg_base + t.tid;
+            if p >= chunk.len() {
+                return;
+            }
+            let m = self.searcher.search(p);
+            t.charge_ops(m.work.ops());
+            if params.use_shared_memory {
+                // Exact ranged reads hand the sanitizer this phase's read
+                // set — the window scan (uniform across the warp, a
+                // broadcast) and this thread's lookahead span — while the
+                // inner-loop byte traffic stays on the bulk path.
+                t.shared_read(0, window as u32);
+                let span = params.max_match.min(chunk.len() - p).max(1);
+                t.shared_read((window + t.tid) as u64, span as u32);
+                t.shared_bulk(m.work.accesses(), 1);
+            } else {
+                t.global_cached_bulk(m.work.accesses());
+            }
+            store(t, p, (m.distance, m.length));
+        });
     }
 }
 
@@ -127,17 +174,9 @@ pub fn run(
     sim: &culzss_gpusim::GpuSim,
     input: &[u8],
     params: &CulzssParams,
-) -> Result<
-    (Vec<Vec<MatchRecord>>, culzss_gpusim::exec::LaunchStats),
-    culzss_gpusim::exec::LaunchError,
-> {
-    let kernel = V2MatchKernel::new(input, params);
-    let cfg = culzss_gpusim::LaunchConfig {
-        grid_dim: params.grid_dim(input.len()),
-        block_dim: params.threads_per_block,
-        shared_bytes: params.shared_bytes(),
-    };
-    let result = sim.launch(cfg, &kernel)?;
+) -> Result<(Vec<Vec<MatchRecord>>, LaunchStats), LaunchError> {
+    let result =
+        sim.launch(params.launch_config(input.len()), &V2MatchKernel::new(input, params))?;
     Ok((result.outputs, result.stats))
 }
 

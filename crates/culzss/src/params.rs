@@ -133,24 +133,18 @@ impl CulzssParams {
     ///
     /// * V1: every thread keeps its private window in shared memory —
     ///   `threads × window` (exactly 16 KB at the paper's 128 × 128).
-    /// * V2: the block shares one window plus the cooperative lookahead
-    ///   (window + threads + max_match, rounded up to the bank width).
-    /// * V3: V2's staging buffer plus the resident selection/scan/
-    ///   compaction arena — record ring, boundary bitmaps, dense match
-    ///   array, flag bytes, scan ping/pong pairs, and the staged body
-    ///   ([`crate::v3::shared_bytes_for`]). Disabling shared placement
-    ///   drops only the staging buffer; the pipeline arena always lives
-    ///   on-chip.
+    /// * V2: the match phase's staging buffer — one shared window plus
+    ///   the cooperative lookahead — rounded up to the bank width.
+    /// * V3: the same staging buffer plus the resident selection/scan/
+    ///   compaction arena ([`crate::v3::shared_bytes_for`]). Disabling
+    ///   shared placement drops only the staging buffer.
     pub fn shared_bytes(&self) -> usize {
         if !self.use_shared_memory && self.version != Version::V3 {
             return 0;
         }
         match self.version {
             Version::V1 => self.threads_per_block * self.window_size,
-            Version::V2 => {
-                let raw = self.window_size + self.threads_per_block + self.max_match;
-                raw.div_ceil(4) * 4
-            }
+            Version::V2 => crate::kernel_v2::staging_bytes(self).div_ceil(4) * 4,
             Version::V3 => crate::v3::shared_bytes_for(self),
         }
     }
@@ -166,6 +160,12 @@ impl CulzssParams {
             Version::V1 => self.chunk_count(input_len).div_ceil(self.threads_per_block),
             Version::V2 | Version::V3 => self.chunk_count(input_len),
         }
+    }
+
+    /// Launch geometry of the compression kernel over `input_len` bytes.
+    pub(crate) fn launch_config(&self, input_len: usize) -> culzss_gpusim::LaunchConfig {
+        let (block_dim, shared_bytes) = (self.threads_per_block, self.shared_bytes());
+        culzss_gpusim::LaunchConfig { grid_dim: self.grid_dim(input_len), block_dim, shared_bytes }
     }
 
     /// The chunk-size rule every encode path shares, GPU and CPU: a

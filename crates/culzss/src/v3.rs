@@ -1,59 +1,45 @@
-//! CULZSS Version 3: GPU-resident selection and prefix-sum compaction.
+//! CULZSS Version 3: V2's match phase plus GPU-resident selection and
+//! prefix-sum compaction.
 //!
 //! V2 stops where the paper stops: the kernel records a match candidate
 //! for every position and ships the raw `(offset, length)` arrays back so
 //! the **CPU** can run the serial selection walk and emit the flagged
-//! stream (§III-B3 "CPU steps"). That host pass is the last structural
-//! serial bottleneck in the pipeline. GPULZ-style engines close it by
-//! keeping all three steps on-device: block-level greedy selection over
-//! the candidate records, a prefix sum over per-token encoded sizes, and
-//! a compaction scatter that writes a padding-free body — leaving the
-//! host nothing but container header/CRC assembly.
+//! stream (§III-B3 "CPU steps"). GPULZ-style engines keep those steps
+//! on-device — greedy selection, a prefix sum over encoded sizes, and a
+//! compaction scatter into a padding-free body — leaving the host only
+//! container header/CRC assembly. The V3 kernel fuses it all into one
+//! launch, one block per chunk:
 //!
-//! The V3 kernel fuses all of it into one launch, one block per chunk:
-//!
-//! 1. **Match** — identical to [`crate::kernel_v2`]: cooperative,
-//!    coalesced lookahead refill, then one position per thread against
-//!    the shared window. The only difference is where the records go:
-//!    instead of two coalesced `u16` stores per position to global memory
-//!    (plus the 4·n device→host copy), each thread parks its record in a
-//!    segment-local shared ring. The records never leave the chip.
+//! 1. **Match** — V2's own segment loop,
+//!    [`ChunkMatcher::match_segment`](crate::kernel_v2): the same refill,
+//!    search and metering, except that each thread parks its record in a
+//!    segment-local shared ring instead of storing two `u16`s to global
+//!    memory. The records never leave the chip.
 //! 2. **Select** — after each segment's records land, one thread runs
-//!    the greedy selection walk over the segment (the exact
-//!    `select_with` semantics of the CPU pass: take a ≥ `min_match`
-//!    record and skip the covered positions, else emit a literal). It
-//!    marks token boundaries and match positions in two shared bitmaps,
-//!    appends match codes to a dense array, and accumulates the group
-//!    flag bytes. Interleaving the walk with the per-segment match
-//!    phases keeps it inside the launch at the cost of one serialized
-//!    phase per segment — the model prices that honestly, and the win
-//!    comes from deleting the host pass, not from pretending selection
-//!    parallelizes.
-//! 3. **Size + scan** — every lane reduces its 32-position slice of the
-//!    bitmaps to a `(tokens, matches)` pair, then a Hillis–Steele
-//!    inclusive scan across the lane pairs (the same ping/pong shape as
-//!    the warp decoder's `offset_table` pass) turns them into exclusive
+//!    the greedy walk over the segment with the semantics of the host
+//!    pass, [`crate::metered::select_records_into`]: take a ≥ `min_match`
+//!    record and skip the covered positions, else emit a literal. It marks
+//!    token boundaries and match positions in two shared bitmaps, appends
+//!    match codes to a dense array, and accumulates the group flag bytes.
+//!    The model prices the walk as one serialized phase per segment; the
+//!    win comes from deleting the host pass, not from parallel selection.
+//! 3. **Size + scan** — every lane reduces its slice of the bitmaps to a
+//!    `(tokens, matches)` pair, and a Hillis–Steele inclusive scan (the
+//!    warp decoder's `offset_table` ping/pong shape) turns the pairs into
 //!    per-lane output bases.
-//! 4. **Compact** — each lane re-walks its slice and scatters its
-//!    tokens' encoded bytes into a staged body at the scanned offsets:
-//!    flag byte per 8-token group (written by the unique lane that owns
-//!    the group's first token), 1 byte per literal (re-read through L1 —
-//!    the 4 KB chunk is resident after the refill), 2 bytes per match
-//!    code from the dense array. A final cooperative pass writes the
-//!    staged body back to global memory in coalesced 4-byte words, the
-//!    same idiom as the warp decoder's writeback.
+//! 4. **Compact** — each lane scatters the tokens that start in its slice
+//!    into a staged body: a flag byte per 8-token group, a literal re-read
+//!    through L1, or a 2-byte match code from the dense array. A final
+//!    pass writes the body back in coalesced 4-byte words.
 //!
-//! The selection walk can end a segment mid-match, with the cursor up to
-//! `max_match − 1` positions into the next segment. Because
-//! [`crate::params::CulzssParams::validate`] enforces
-//! `max_match ≤ threads_per_block` for V3, the cursor always resumes
-//! inside the *next* segment's ring — never past it — so the walk never
-//! needs a record that has already been overwritten.
-//!
-//! Byte-compatibility is by construction: the walk consumes the same
-//! per-position records as V2's host selection and the body is the same
-//! Fixed16 group encoding, so a V3 stream is byte-identical to a V2
-//! stream over the same input (pinned by `tests/differential.rs` and the
+//! The walk can end a segment mid-match, up to `max_match − 1` positions
+//! into the next segment; [`crate::params::CulzssParams::validate`]
+//! enforces `max_match ≤ threads_per_block` for V3, so it always resumes
+//! inside the next segment's ring, never past it. On the host, the only
+//! per-position state is the record array; compaction walks the token
+//! list itself, since each lane's tokens are one contiguous run of it.
+//! The body bytes come from the Fixed16 encoder, so a V3 stream is
+//! byte-identical to V2's (pinned by `tests/differential.rs` and the
 //! golden fixtures).
 
 use culzss_gpusim::exec::{BlockCtx, BlockKernel};
@@ -61,7 +47,7 @@ use culzss_lzss::config::LzssConfig;
 use culzss_lzss::format;
 use culzss_lzss::token::Token;
 
-use crate::metered::MatchSearcher;
+use crate::kernel_v2::{staging_bytes, ChunkMatcher, MatchRecord};
 use crate::params::CulzssParams;
 use crate::pipeline::BufferPool;
 
@@ -119,15 +105,9 @@ struct Arena {
 
 impl Arena {
     fn new(params: &CulzssParams) -> Self {
-        // The match staging buffer (window + block span + lookahead
-        // extension) sits at offset 0, exactly where the V2 kernel puts
-        // it; the pipeline regions follow it. Without shared staging the
-        // pipeline regions start at 0.
-        let staging = if params.use_shared_memory {
-            params.window_size + params.threads_per_block + params.max_match
-        } else {
-            0
-        };
+        // V2's match staging buffer sits at offset 0 and the pipeline
+        // regions follow it; without shared staging they start at 0.
+        let staging = if params.use_shared_memory { staging_bytes(params) } else { 0 };
         let bitmap = params.chunk_size.div_ceil(8);
         let lane = 2 * params.threads_per_block;
         let rec = staging as u64;
@@ -156,6 +136,13 @@ pub fn shared_bytes_for(params: &CulzssParams) -> usize {
     Arena::new(params).total
 }
 
+/// Staged-body position of token `i`'s first byte when `m` matches
+/// precede it: `i/8 + 1` flag bytes (its own group's included), one byte
+/// per earlier literal or match, and a second byte per earlier match.
+fn body_offset(i: u64, m: u64) -> u64 {
+    i / 8 + 1 + i + m
+}
+
 /// The fused V3 compression kernel: match + select + scan + compact in
 /// one launch. Output is the padding-free encoded body per chunk.
 pub struct V3CompressKernel<'a> {
@@ -182,82 +169,41 @@ impl BlockKernel for V3CompressKernel<'_> {
     type Output = Vec<u8>;
 
     fn run_block(&self, block: &mut BlockCtx) -> Vec<u8> {
-        let chunk_start = block.block_idx * self.params.chunk_size;
-        let chunk_end = (chunk_start + self.params.chunk_size).min(self.input.len());
-        let chunk = &self.input[chunk_start..chunk_end];
+        let mut matcher = ChunkMatcher::new(self.input, block.block_idx, self.params, &self.config);
+        let chunk = matcher.chunk;
         let arena = Arena::new(self.params);
         let t_per_block = block.block_dim;
-        let min_match = self.config.min_match;
 
-        let mut records: Vec<(u16, u16)> = vec![(0, 0); chunk.len()];
-        // Host mirrors of the device bitmaps, consumed by the sizing and
-        // compaction phases below.
-        let mut token_start = vec![false; chunk.len()];
-        let mut match_at = vec![false; chunk.len()];
+        let mut records: Vec<MatchRecord> = vec![(0, 0); chunk.len()];
         let mut tokens = self.pool.acquire_tokens();
         let mut match_count = 0usize;
         let mut cursor = 0usize;
 
-        // Phase 2 searches its positions in ascending order, so one
-        // searcher serves the whole chunk.
-        let mut searcher = MatchSearcher::new(chunk, &self.config);
         let segments = chunk.len().div_ceil(t_per_block);
         for seg in 0..segments {
             let seg_base = seg * t_per_block;
             let seg_end = ((seg + 1) * t_per_block).min(chunk.len());
-            // Phase 1: cooperative refill — byte-for-byte the V2 refill
-            // (consecutive addresses, coalesced; first max_match threads
-            // stage the lookahead extension).
-            block.par_threads(|t| {
-                let p = seg_base + t.tid;
-                if p < chunk.len() {
-                    t.global_read((chunk_start + p) as u64, 1);
-                    t.shared_write((self.params.window_size + t.tid) as u64, 1);
-                }
-                if t.tid < self.params.max_match {
-                    let p = seg_base + t_per_block + t.tid;
-                    if p < chunk.len() {
-                        t.global_read((chunk_start + p) as u64, 1);
-                        t.shared_write((self.params.window_size + t_per_block + t.tid) as u64, 1);
-                    }
-                }
-            });
-            // Phase 2: per-position match, V2's metering minus the two
-            // per-position global result stores — the record is parked in
-            // the segment ring instead and never leaves shared memory.
-            block.par_threads(|t| {
-                let p = seg_base + t.tid;
-                if p >= chunk.len() {
-                    return;
-                }
-                let m = searcher.search(p);
-                t.charge_ops(m.work.ops());
-                if self.params.use_shared_memory {
-                    t.shared_read(0, self.params.window_size as u32);
-                    let span = self.params.max_match.min(chunk.len() - p).max(1);
-                    t.shared_read((self.params.window_size + t.tid) as u64, span as u32);
-                    t.shared_bulk(m.work.accesses(), 1);
-                } else {
-                    t.global_cached_bulk(m.work.accesses());
-                }
-                records[p] = (m.distance, m.length);
+            // Phases 1–2: V2's refill and match, except that each record
+            // is parked in the segment ring instead of stored to global
+            // memory, so it never leaves the chip.
+            matcher.match_segment(block, seg_base, |t, p, rec| {
+                records[p] = rec;
                 t.shared_write(arena.rec + 2 * t.tid as u64, 2);
             });
             // Phase 3: greedy selection walk over this segment's records
-            // — one thread, the exact `select_with` semantics of the V2
-            // host pass. The cursor may resume mid-segment (a match from
-            // the previous segment covered the first positions) and may
-            // leave up to max_match − 1 positions into the next one.
+            // — one thread, the exact semantics of the V2 host pass
+            // (`select_records_into`). The cursor may resume mid-segment
+            // (a match from the previous segment covered the first
+            // positions) and may leave up to max_match − 1 positions into
+            // the next one.
             block.single_thread(|t| {
-                let mut emitted = 0u64;
+                let before = tokens.len();
                 let mut flags_closed = 0u64;
                 while cursor < seg_end {
                     t.shared_read(arena.rec + 2 * (cursor - seg_base) as u64, 2);
                     let (distance, length) = records[cursor];
-                    token_start[cursor] = true;
                     t.shared_write(arena.tok_bitmap + (cursor / 8) as u64, 1);
-                    if length as usize >= min_match {
-                        match_at[cursor] = true;
+                    if length as usize >= self.config.min_match {
                         t.shared_write(arena.match_bitmap + (cursor / 8) as u64, 1);
                         t.shared_write(arena.matches + 2 * match_count as u64, 2);
                         match_count += 1;
@@ -267,7 +213,6 @@ impl BlockKernel for V3CompressKernel<'_> {
                         tokens.push(Token::Literal(chunk[cursor]));
                         cursor += 1;
                     }
-                    emitted += 1;
                     if tokens.len().is_multiple_of(8) {
                         // Group filled: flush its accumulated flag byte.
                         t.shared_write(arena.flags + (tokens.len() / 8 - 1) as u64, 1);
@@ -279,6 +224,7 @@ impl BlockKernel for V3CompressKernel<'_> {
                     t.shared_write(arena.flags + (tokens.len() / 8) as u64, 1);
                     flags_closed += 1;
                 }
+                let emitted = (tokens.len() - before) as u64;
                 t.charge_ops(emitted * V3_SELECT_OPS + flags_closed * V3_FLAG_OPS);
             });
         }
@@ -297,30 +243,15 @@ impl BlockKernel for V3CompressKernel<'_> {
         // Phase 4: lane-local sizing — each lane reduces its bitmap
         // slice to a (token count, match count) pair and seeds the scan
         // arrays.
-        let mut counts = vec![0u32; t_per_block];
-        let mut mcounts = vec![0u32; t_per_block];
-        for tid in 0..t_per_block {
-            for p in span_of(tid) {
-                if token_start[p] {
-                    counts[tid] += 1;
-                    if match_at[p] {
-                        mcounts[tid] += 1;
-                    }
-                }
-            }
-        }
         block.par_threads(|t| {
             let span = span_of(t.tid);
             if !span.is_empty() {
-                let slice_bytes = span.len().div_ceil(8) as u64;
-                t.shared_bulk(2 * slice_bytes, 1);
+                t.shared_bulk(2 * span.len().div_ceil(8) as u64, 1);
                 t.charge_ops(span.len() as u64 * V3_SIZE_OPS);
             }
             t.shared_write(arena.scan[0] + 2 * t.tid as u64, 2);
             t.shared_write(arena.scan[2] + 2 * t.tid as u64, 2);
         });
-        debug_assert_eq!(counts.iter().sum::<u32>() as usize, tokens.len());
-        debug_assert_eq!(mcounts.iter().sum::<u32>() as usize, match_count);
 
         // Phase 5: Hillis–Steele inclusive scan over the lane pairs —
         // the warp decoder's offset_table ping/pong shape, log2(block)
@@ -342,38 +273,29 @@ impl BlockKernel for V3CompressKernel<'_> {
             std::mem::swap(&mut src, &mut dst);
             stride *= 2;
         }
-        // Exclusive per-lane bases fall out of the inclusive scan.
-        let mut token_base = vec![0u32; t_per_block];
-        let mut match_base = vec![0u32; t_per_block];
-        for tid in 1..t_per_block {
-            token_base[tid] = token_base[tid - 1] + counts[tid - 1];
-            match_base[tid] = match_base[tid - 1] + mcounts[tid - 1];
-        }
 
-        // Phase 6: compaction — each lane re-walks its slice and
-        // scatters its tokens into the staged body. Token `i`'s first
-        // body byte sits at `i/8 + 1` flag bytes plus `i + matches
-        // before i` payload bytes; the lane that owns a group's first
-        // token also writes the group's flag byte, one byte earlier.
+        // Phase 6: compaction — each lane re-walks its slice and scatters
+        // the tokens that start in it into the staged body at
+        // `body_offset`; the lane that owns a group's first token also
+        // writes the group's flag byte, one byte earlier. Tokens come in
+        // position order and lanes own ascending slices, so each lane's
+        // tokens are the next run of `tokens`, and running counts give
+        // every token's index `i` and the matches `m` before it.
+        let (mut i, mut m, mut pos) = (0usize, 0u64, 0usize);
         block.par_threads(|t| {
             let span = span_of(t.tid);
             if span.is_empty() {
                 return;
             }
             t.shared_bulk(2 * span.len().div_ceil(8) as u64, 1);
-            let mut i = token_base[t.tid] as u64;
-            let mut m = match_base[t.tid] as u64;
-            for p in span {
-                if !token_start[p] {
-                    continue;
-                }
-                let offset = i / 8 + 1 + i + m;
+            while pos < span.end {
+                let offset = body_offset(i as u64, m);
                 if i.is_multiple_of(8) {
-                    t.shared_read(arena.flags + i / 8, 1);
+                    t.shared_read(arena.flags + (i / 8) as u64, 1);
                     t.shared_write(arena.body + offset - 1, 1);
                     t.charge_ops(V3_FLAG_OPS);
                 }
-                if match_at[p] {
+                if tokens[i].is_match() {
                     t.shared_read(arena.matches + 2 * m, 2);
                     t.shared_write(arena.body + offset, 2);
                     t.charge_ops(V3_EMIT_MATCH_OPS);
@@ -383,17 +305,13 @@ impl BlockKernel for V3CompressKernel<'_> {
                     t.shared_write(arena.body + offset, 1);
                     t.charge_ops(V3_EMIT_LITERAL_OPS);
                 }
+                pos += tokens[i].coverage();
                 i += 1;
             }
         });
 
         let mut body = self.pool.acquire_bytes();
         format::encode_into(&tokens, &self.config, &mut body);
-        debug_assert_eq!(
-            body.len(),
-            tokens.len().div_ceil(8) + tokens.len() + match_count,
-            "staged-body model disagrees with the Fixed16 encoder"
-        );
         self.pool.release_tokens(tokens);
 
         // Phase 7: coalesced writeback of the staged body — whole words,
@@ -411,14 +329,6 @@ impl BlockKernel for V3CompressKernel<'_> {
     }
 }
 
-fn launch_config(input: &[u8], params: &CulzssParams) -> culzss_gpusim::LaunchConfig {
-    culzss_gpusim::LaunchConfig {
-        grid_dim: params.grid_dim(input.len()),
-        block_dim: params.threads_per_block,
-        shared_bytes: params.shared_bytes(),
-    }
-}
-
 /// Runs the fused V3 kernel, returning the padding-free per-chunk bodies
 /// in chunk order plus launch statistics. Token scratch and body buffers
 /// come from `pool`; the caller returns the bodies via
@@ -430,7 +340,7 @@ pub fn run_pooled(
     pool: &BufferPool,
 ) -> Result<(Vec<Vec<u8>>, culzss_gpusim::exec::LaunchStats), culzss_gpusim::exec::LaunchError> {
     let kernel = V3CompressKernel::new(input, params, pool);
-    let result = sim.launch(launch_config(input, params), &kernel)?;
+    let result = sim.launch(params.launch_config(input.len()), &kernel)?;
     Ok((result.outputs, result.stats))
 }
 
@@ -483,6 +393,54 @@ mod tests {
                 let mut expect = Vec::new();
                 format::encode_into(&tokens, &config, &mut expect);
                 assert_eq!(body, &expect, "{dataset:?}: V3 body diverged from V2+selection");
+            }
+        }
+    }
+
+    /// Phase 6 prices each token's staged store at `body_offset`; the
+    /// bytes themselves come from the Fixed16 encoder, so the two must
+    /// agree on where every token and flag byte lands.
+    #[test]
+    fn body_offsets_locate_every_token_in_the_encoded_body() {
+        let params = CulzssParams::v2();
+        let config = params.lzss_config();
+        let s = sim();
+        for dataset in Dataset::ALL {
+            let input = dataset.generate(48 * 1024 + 77, 2011);
+            let (records, _) = crate::kernel_v2::run(&s, &input, &params).unwrap();
+            for (chunk, recs) in input.chunks(params.chunk_size).zip(&records) {
+                let mut tokens = Vec::new();
+                select_records_into(chunk, recs, &config, &mut tokens);
+                let mut body = Vec::new();
+                format::encode_into(&tokens, &config, &mut body);
+                let mut m = 0u64;
+                for (i, token) in tokens.iter().enumerate() {
+                    let at = body_offset(i as u64, m) as usize;
+                    if i % 8 == 0 {
+                        let mut group = Vec::new();
+                        format::encode_into(
+                            &tokens[i..(i + 8).min(tokens.len())],
+                            &config,
+                            &mut group,
+                        );
+                        assert_eq!(
+                            body[at - 1],
+                            group[0],
+                            "{dataset:?}: flag byte of group {}",
+                            i / 8
+                        );
+                    }
+                    let mut code = Vec::new();
+                    format::encode_into(std::slice::from_ref(token), &config, &mut code);
+                    assert_eq!(
+                        &body[at..at + code.len() - 1],
+                        &code[1..],
+                        "{dataset:?}: token {i}"
+                    );
+                    m += u64::from(token.is_match());
+                }
+                let n = tokens.len();
+                assert_eq!(body.len(), n.div_ceil(8) + n + m as usize, "{dataset:?}: body length");
             }
         }
     }
