@@ -214,7 +214,10 @@ pub fn decompress(bytes: &[u8], config: &LzssConfig) -> Result<Vec<u8>> {
 /// Decodes a headerless token body directly into bytes (fused decode +
 /// expand; this is the hot path measured in Table III).
 pub fn decode_body(body: &[u8], config: &LzssConfig, uncompressed_len: usize) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(uncompressed_len);
+    // The declared length is unchecked: reserve no more than the body can
+    // decode to at max_match bytes per body byte, the Fixed16 fill's cap.
+    let room = uncompressed_len.min(body.len().saturating_mul(config.max_match.max(1)));
+    let mut out = Vec::with_capacity(room);
     decode_body_into(body, config, uncompressed_len, &mut out)?;
     Ok(out)
 }
@@ -515,6 +518,13 @@ mod tests {
         c.extend_from_slice(&u32::MAX.to_le_bytes());
         c.push(0);
         assert!(matches!(decompress(&c, &config).unwrap_err(), Error::Truncated { .. }));
+    }
+
+    #[test]
+    fn decode_body_refuses_an_unbounded_declared_length() {
+        for config in [LzssConfig::culzss_v2(), LzssConfig::dipperstein()] {
+            assert!(decode_body(&[0, b'a'], &config, usize::MAX).is_err());
+        }
     }
 
     #[test]
