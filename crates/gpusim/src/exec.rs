@@ -23,6 +23,7 @@ use crate::cost::{cost_launch, KernelCost};
 use crate::device::DeviceSpec;
 use crate::fault::{DeviceFaultModel, FaultKind, LaunchDisposition};
 use crate::meter::{BlockMeter, BlockMetrics};
+use crate::replay::{PhaseDelta, PhaseShape, ReplayMemo, ReplayStats};
 use crate::sanitizer::{AccessKind, BlockSanitizerReport, SanitizerReport};
 
 /// Launch geometry, the CUDA `<<<grid, block, shared>>>` triple.
@@ -120,6 +121,9 @@ pub struct BlockCtx {
     /// Threads that called [`ThreadCtx::exit_thread`]; they skip every
     /// later phase and stop arriving at barriers.
     exited: Vec<bool>,
+    /// The simulator's replay memo; `None` on an armed launch, which
+    /// meters every access.
+    replay: Option<Arc<ReplayMemo>>,
 }
 
 impl BlockCtx {
@@ -160,6 +164,47 @@ impl BlockCtx {
             f(&mut self.thread(0));
         }
         self.meter.end_phase_masked(&self.exited);
+    }
+
+    /// True on an armed launch ([`GpuSim::with_sanitizer`]), where a
+    /// kernel must log exactly every access the sanitizer should see
+    /// rather than take a closed form.
+    pub fn sanitized(&self) -> bool {
+        self.meter.sanitized()
+    }
+
+    /// Runs `phases`, one or more complete barrier-delimited phases that
+    /// only meter, or adds the metrics they produced the last time they
+    /// ran with the same [`PhaseShape`] in a block of this width
+    /// ([`crate::replay`]). On a replay `phases` does not run, so it must
+    /// compute nothing the kernel uses later, and every access it logs
+    /// must follow from `shape` and the block width.
+    ///
+    /// Armed launches, and blocks in which a thread has exited, always
+    /// run `phases` on the exact meter.
+    pub fn replay_phases(&mut self, shape: PhaseShape, phases: impl FnOnce(&mut BlockCtx)) {
+        let Some(memo) = self.replay.take() else {
+            return phases(self);
+        };
+        if self.exited.contains(&true) {
+            phases(self);
+        } else {
+            let key = memo.key(&shape, self.block_dim);
+            if let Some(delta) = memo.lookup(&key, shape.shape) {
+                delta.apply(self.meter.metrics_mut());
+            } else {
+                let before = self.meter.metrics().clone();
+                phases(self);
+                // A run that left work before a barrier or exited a thread
+                // is not a whole phase run, so it is not stored.
+                if self.meter.at_barrier() && !self.exited.contains(&true) {
+                    if let Some(delta) = PhaseDelta::between(&before, self.meter.metrics()) {
+                        memo.insert(&key, shape.shape, delta);
+                    }
+                }
+            }
+        }
+        self.replay = Some(memo);
     }
 
     fn thread(&mut self, tid: usize) -> ThreadCtx<'_> {
@@ -243,6 +288,16 @@ impl ThreadCtx<'_> {
         self.meter.shared_bulk(self.tid, accesses, conflict_ways);
     }
 
+    /// Bulk accounting for `accesses` shared accesses when this thread is
+    /// the only lane of its warp touching shared memory in the phase and
+    /// each access stays inside one 4-byte word: each is then a warp
+    /// instruction of its own and costs one bank cycle, as the exact path
+    /// prices it.
+    #[inline]
+    pub fn shared_lone_lane_bulk(&mut self, accesses: u64) {
+        self.meter.shared_lone_lane_bulk(self.tid, accesses);
+    }
+
     /// Bulk global-memory accounting: this thread moved `bytes` bytes in
     /// accesses of `access_width` bytes, warp-`coalesced` or not.
     #[inline]
@@ -323,20 +378,23 @@ impl LaunchStats {
 
 /// A simulated GPU: a device description plus a host worker pool size,
 /// optionally a [`DeviceFaultModel`] injecting failures at the launch
-/// seam, and optionally the shared-memory sanitizer.
+/// seam, and optionally the shared-memory sanitizer. Clones share the
+/// fault model and the phase replay memo ([`crate::replay`]).
 #[derive(Debug, Clone)]
 pub struct GpuSim {
     device: DeviceSpec,
     workers: usize,
     fault: Option<Arc<DeviceFaultModel>>,
     sanitize: bool,
+    replay: Option<Arc<ReplayMemo>>,
 }
 
 impl GpuSim {
     /// Creates a simulator for `device` using all available host cores.
     pub fn new(device: DeviceSpec) -> Self {
         let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
-        Self { device, workers, fault: None, sanitize: false }
+        let replay = ReplayMemo::new(device.warp_size, device.transaction_bytes).map(Arc::new);
+        Self { device, workers, fault: None, sanitize: false, replay }
     }
 
     /// Overrides the host worker-pool size (useful in tests).
@@ -373,6 +431,12 @@ impl GpuSim {
     /// The simulated device.
     pub fn device(&self) -> &DeviceSpec {
         &self.device
+    }
+
+    /// Size and hit counts of the phase replay memo this simulator shares
+    /// with its clones (empty when the device keeps none).
+    pub fn replay_stats(&self) -> ReplayStats {
+        self.replay.as_ref().map(|memo| memo.stats()).unwrap_or_default()
     }
 
     /// Launches `kernel` over `cfg.grid_dim` blocks and waits for
@@ -447,6 +511,7 @@ impl GpuSim {
                             self.device.shared_banks,
                         ),
                         exited: vec![false; cfg.block_dim],
+                        replay: if self.sanitize { None } else { self.replay.clone() },
                     };
                     loop {
                         let idx = next.fetch_add(1, Ordering::Relaxed);
@@ -703,6 +768,123 @@ mod tests {
         assert!((slow.stats.kernel_seconds / healthy.stats.kernel_seconds - 3.0).abs() < 1e-9);
         assert_eq!(slow.stats.cost.cycles, healthy.stats.cost.cycles);
         assert_eq!(slow.outputs, healthy.outputs);
+    }
+
+    /// Each block stages `live` words (a shape-only phase whose lanes
+    /// also race on one shared word, so an armed launch has findings),
+    /// then logs data-dependent accesses outside the replay.
+    struct Staged {
+        live: Vec<usize>,
+        data: Vec<u64>,
+    }
+
+    impl BlockKernel for Staged {
+        type Output = ();
+        fn run_block(&self, block: &mut BlockCtx) {
+            let live = self.live[block.block_idx];
+            let shape = PhaseShape {
+                phase: "test.stage",
+                shape: live as u32,
+                global_base: 4096 * block.block_idx as u64,
+                shared_base: 64,
+            };
+            block.replay_phases(shape, |block| {
+                block.par_threads(|t| {
+                    if t.tid < live {
+                        t.global_read(shape.global_base + 4 * t.tid as u64, 4);
+                        t.shared_write(64 + 4 * t.tid as u64, 4);
+                        t.shared_write(0, 4);
+                    }
+                });
+                block.single_thread(|t| t.charge_ops(live as u64));
+            });
+            let word = self.data[block.block_idx];
+            block.par_threads(|t| t.shared_read((word * t.tid as u64) % 4096, 2));
+        }
+    }
+
+    fn staged(live: &[usize], data: u64) -> Staged {
+        Staged {
+            live: live.to_vec(),
+            data: (0..live.len() as u64).map(|b| data.wrapping_mul(b + 3) % 61).collect(),
+        }
+    }
+
+    #[test]
+    fn a_replayed_phase_adds_the_exact_delta() {
+        let live = [128, 5, 128, 77, 5, 128, 0, 77];
+        let cfg = LaunchConfig::new(live.len(), 128);
+        let exact = GpuSim::new(DeviceSpec::gtx480())
+            .with_sanitizer()
+            .launch(cfg, &staged(&live, 7))
+            .unwrap()
+            .stats;
+        let sim = GpuSim::new(DeviceSpec::gtx480()).with_workers(2);
+        // Warm the memo on other data with the same shapes.
+        sim.launch(cfg, &staged(&live, 11)).unwrap();
+        let warm = sim.launch(cfg, &staged(&live, 7)).unwrap().stats;
+        assert_eq!(warm.per_block, exact.per_block);
+        assert_eq!(warm.cost.cycles, exact.cost.cycles);
+        let stats = sim.replay_stats();
+        assert_eq!(stats.entries, 4, "one entry per live count");
+        assert_eq!(stats.phases[0].hits + stats.phases[0].misses, 2 * live.len() as u64);
+        assert!(stats.phases[0].hits >= live.len() as u64);
+    }
+
+    #[test]
+    fn armed_launches_bypass_the_memo() {
+        let live = [128, 5, 77, 128];
+        let cfg = LaunchConfig::new(live.len(), 128);
+        let cold = GpuSim::new(DeviceSpec::gtx480()).with_sanitizer();
+        let cold = cold.launch(cfg, &staged(&live, 3)).unwrap().stats;
+        let sim = GpuSim::new(DeviceSpec::gtx480());
+        sim.launch(cfg, &staged(&live, 5)).unwrap();
+        let before = sim.replay_stats();
+        let warm = sim.clone().with_sanitizer().launch(cfg, &staged(&live, 3)).unwrap().stats;
+        assert_eq!(sim.replay_stats(), before, "an armed launch touched the memo");
+        let report = warm.sanitizer.as_ref().unwrap();
+        assert!(report.conflicts > 0, "the fixture races");
+        assert_eq!(warm.sanitizer, cold.sanitizer);
+        assert_eq!(warm.per_block, cold.per_block);
+    }
+
+    #[test]
+    fn block_widths_never_share_an_entry() {
+        let live = [40, 40];
+        let sim = GpuSim::new(DeviceSpec::gtx480());
+        for width in [128, 64] {
+            let cfg = LaunchConfig::new(live.len(), width);
+            let warm = sim.launch(cfg, &staged(&live, 9)).unwrap().stats;
+            let fresh =
+                GpuSim::new(DeviceSpec::gtx480()).launch(cfg, &staged(&live, 9)).unwrap().stats;
+            assert_eq!(warm.per_block, fresh.per_block, "block width {width}");
+        }
+        assert_eq!(sim.replay_stats().entries, 2);
+    }
+
+    #[test]
+    fn a_lone_lane_bulk_prices_like_its_exact_accesses() {
+        struct Lone(bool);
+        impl BlockKernel for Lone {
+            type Output = ();
+            fn run_block(&self, block: &mut BlockCtx) {
+                let bulk = self.0;
+                block.single_thread(|t| {
+                    if bulk {
+                        t.shared_lone_lane_bulk(37);
+                    } else {
+                        for g in 0..37 {
+                            t.shared_write(6 + 2 * g, 2);
+                        }
+                    }
+                });
+            }
+        }
+        let sim = GpuSim::new(DeviceSpec::gtx480());
+        let cfg = LaunchConfig::new(2, 64);
+        let exact = sim.launch(cfg, &Lone(false)).unwrap().stats;
+        let bulk = sim.launch(cfg, &Lone(true)).unwrap().stats;
+        assert_eq!(bulk.per_block, exact.per_block);
     }
 
     #[test]

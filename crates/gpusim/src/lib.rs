@@ -84,6 +84,7 @@ pub mod fault;
 pub mod meter;
 pub mod multi;
 pub mod occupancy;
+pub mod replay;
 pub mod report;
 pub mod sanitizer;
 pub mod streams;
@@ -94,4 +95,5 @@ pub use device::DeviceSpec;
 pub use exec::{BlockCtx, BlockKernel, GpuSim, LaunchConfig, LaunchResult, ThreadCtx};
 pub use fault::{DeviceFaultConfig, DeviceFaultModel, FaultKind};
 pub use meter::BlockMetrics;
+pub use replay::{PhaseShape, ReplayStats};
 pub use sanitizer::SanitizerReport;

@@ -7,7 +7,7 @@
 //! [`crate::coalesce`]. The result is a [`BlockMetrics`] that the cost
 //! model converts to cycles.
 //!
-//! Two accounting paths exist:
+//! Three accounting paths exist:
 //!
 //! * **exact** — `global_read`/`shared_read` log individual accesses; at
 //!   the barrier, the k-th access of each thread in a warp is treated as
@@ -17,6 +17,9 @@
 //!   (`charge_ops`, `shared_bulk`, `global_bulk`); the same formulas are
 //!   applied in closed form. This keeps simulation time proportional to
 //!   the real algorithm, not to the number of modelled accesses.
+//! * **replayed** — phases whose accesses depend only on the block's
+//!   shape are priced exactly once per shape and their metric delta is
+//!   added from then on ([`crate::replay`]).
 //!
 //! The exact path allocates nothing once warm. Each launch worker owns one
 //! meter and hands it from block to block ([`BlockMeter::finish_block`]
@@ -143,6 +146,11 @@ impl BlockMeter {
         self.sanitizer = Some(Box::new(SanitizerState::new(block_idx)));
     }
 
+    /// True while the sanitizer is armed for this block.
+    pub(crate) fn sanitized(&self) -> bool {
+        self.sanitizer.is_some()
+    }
+
     /// Records `n` arithmetic/control ops for thread `tid`.
     #[inline]
     pub fn charge_ops(&mut self, tid: usize, n: u64) {
@@ -183,6 +191,15 @@ impl BlockMeter {
         self.metrics.shared_cycles +=
             accesses as f64 * conflict_ways as f64 / self.warp_size as f64;
         self.charge_ops(tid, accesses);
+    }
+
+    /// Bulk accounting for `accesses` shared accesses of thread `tid`,
+    /// the only lane of its warp with shared accesses in this phase, each
+    /// inside one 4-byte word. The exact path prices each such access as
+    /// an instruction of its own, one bank cycle.
+    #[inline]
+    pub(crate) fn shared_lone_lane_bulk(&mut self, tid: usize, accesses: u64) {
+        self.shared_bulk(tid, accesses, self.warp_size as u64);
     }
 
     /// Bulk global-memory accounting: thread `tid` moved `bytes` bytes in
@@ -286,10 +303,7 @@ impl BlockMeter {
     /// — fresh metrics, sanitizer off, shared footprint unset — with its
     /// per-thread logs and scratch buffers keeping their capacity.
     pub fn finish_block(&mut self) -> (BlockMetrics, Option<BlockSanitizerReport>) {
-        let pending = self.phase_ops.iter().any(|&o| o > 0)
-            || self.phase_global.iter().any(|v| !v.is_empty())
-            || self.phase_shared.iter().any(|v| !v.is_empty());
-        if pending {
+        if !self.at_barrier() {
             self.end_phase_inner(None, false);
         }
         let metrics = std::mem::replace(&mut self.metrics, Self::fresh_metrics(self.block_dim));
@@ -299,6 +313,18 @@ impl BlockMeter {
     /// Read-only view of the metrics accumulated so far (completed phases).
     pub fn metrics(&self) -> &BlockMetrics {
         &self.metrics
+    }
+
+    /// The block's metrics, for adding a replayed phase delta.
+    pub(crate) fn metrics_mut(&mut self) -> &mut BlockMetrics {
+        &mut self.metrics
+    }
+
+    /// True when no access or op is waiting for a barrier.
+    pub(crate) fn at_barrier(&self) -> bool {
+        self.phase_ops.iter().all(|&o| o == 0)
+            && self.phase_global.iter().all(Vec::is_empty)
+            && self.phase_shared.iter().all(Vec::is_empty)
     }
 }
 
