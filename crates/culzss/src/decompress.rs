@@ -26,7 +26,7 @@
 use std::cell::RefCell;
 
 use culzss_gpusim::exec::{BlockCtx, BlockKernel, LaunchStats, ThreadCtx};
-use culzss_gpusim::{DeviceSpec, GpuSim, LaunchConfig};
+use culzss_gpusim::{DeviceSpec, GpuSim, LaunchConfig, PhaseShape};
 use culzss_lzss::config::LzssConfig;
 use culzss_lzss::error::Error;
 use culzss_lzss::format::TokenFormat;
@@ -400,12 +400,19 @@ impl WarpDecompressKernel<'_> {
         // Pass 1a (serial, tid 0): flag-byte walk. Group g's byte offset
         // is the running sum of `1 + tokens + matches` over groups before
         // it — the only part of the format that is a true dependent
-        // chain, and it touches one byte per 8 tokens.
+        // chain, and it touches one byte per 8 tokens. Its stores are
+        // 2-byte values at even addresses from a lone lane, so unless the
+        // sanitizer needs to see them they are priced in closed form.
+        let sanitized = block.sanitized();
         block.single_thread(|t| {
             t.charge_ops(groups as u64 * WARP_GROUP_SCAN_OPS);
             t.global_cached_bulk(groups as u64);
-            for g in 0..groups {
-                t.shared_write(goff_base + 2 * g as u64, 2);
+            if sanitized {
+                for g in 0..groups {
+                    t.shared_write(goff_base + 2 * g as u64, 2);
+                }
+            } else {
+                t.shared_lone_lane_bulk(groups as u64);
             }
         });
 
@@ -437,28 +444,41 @@ impl WarpDecompressKernel<'_> {
 
         // Pass 1c: Hillis–Steele inclusive scan over the per-group
         // coverages, ping-pong buffered so each step only reads values
-        // the previous phase wrote. log2(groups) barriers.
-        let mut src = scan_a;
-        let mut dst = scan_b;
-        let mut stride = 1usize;
-        while stride < groups {
-            block.par_threads(|t| {
-                let mut ops = 0u64;
-                for g in (t.tid..groups).step_by(block_dim) {
-                    ops += WARP_PREFIX_OPS;
-                    t.shared_read(src + 2 * g as u64, 2);
-                    if g >= stride {
-                        t.shared_read(src + 2 * (g - stride) as u64, 2);
+        // the previous phase wrote. ⌈log2(groups)⌉ barriers. Its accesses
+        // follow from `groups` and the ping buffer's base, which is
+        // 2 (tokens + groups) and so sits at either parity of a word.
+        let group_scan = PhaseShape {
+            phase: "warp.group_scan",
+            shape: groups as u32,
+            global_base: 0,
+            shared_base: scan_a,
+        };
+        block.replay_phases(group_scan, |block| {
+            let (mut src, mut dst) = (scan_a, scan_b);
+            let mut stride = 1usize;
+            while stride < groups {
+                block.par_threads(|t| {
+                    let mut ops = 0u64;
+                    for g in (t.tid..groups).step_by(block_dim) {
+                        ops += WARP_PREFIX_OPS;
+                        t.shared_read(src + 2 * g as u64, 2);
+                        if g >= stride {
+                            t.shared_read(src + 2 * (g - stride) as u64, 2);
+                        }
+                        t.shared_write(dst + 2 * g as u64, 2);
                     }
-                    t.shared_write(dst + 2 * g as u64, 2);
-                }
-                if ops > 0 {
-                    t.charge_ops(ops);
-                }
-            });
-            std::mem::swap(&mut src, &mut dst);
-            stride *= 2;
-        }
+                    if ops > 0 {
+                        t.charge_ops(ops);
+                    }
+                });
+                std::mem::swap(&mut src, &mut dst);
+                stride *= 2;
+            }
+        });
+        // Each step swaps the buffers, so the sums end in the ping buffer
+        // after an even number of steps.
+        let steps = groups.next_power_of_two().trailing_zeros();
+        let src = if steps.is_multiple_of(2) { scan_a } else { scan_b };
 
         // Pass 1d (parallel over groups): fold the exclusive group base
         // (inclusive sum of the *previous* group) into per-token offsets.

@@ -21,6 +21,7 @@
 //! global memory; V3 parks it in shared memory for its on-device walk.
 
 use culzss_gpusim::exec::{BlockCtx, BlockKernel, LaunchError, LaunchStats, ThreadCtx};
+use culzss_gpusim::PhaseShape;
 use culzss_lzss::config::LzssConfig;
 
 use crate::metered::MatchSearcher;
@@ -128,18 +129,30 @@ impl<'a> ChunkMatcher<'a> {
         // one byte per thread, consecutive addresses, coalesced. The
         // extension (up to max_match bytes past the block's span, so the
         // last positions can match full length) is staged by the first
-        // max_match threads.
-        block.par_threads(|t| {
-            let p = seg_base + t.tid;
-            if p < chunk.len() {
-                t.global_read((chunk_start + p) as u64, 1);
-                t.shared_write((window + t.tid) as u64, 1);
-            }
-            let p = p + tpb;
-            if t.tid < params.max_match && p < chunk.len() {
-                t.global_read((chunk_start + p) as u64, 1);
-                t.shared_write((window + tpb + t.tid) as u64, 1);
-            }
+        // max_match threads. Its accesses follow from the staged byte
+        // count: the extension is only staged behind a full segment, so
+        // the count says how many lanes load each part.
+        let live = (chunk.len() - seg_base).min(tpb);
+        let extension = (chunk.len() - seg_base - live).min(params.max_match).min(tpb);
+        let refill = PhaseShape {
+            phase: "culzss.refill",
+            shape: (live + extension) as u32,
+            global_base: (chunk_start + seg_base) as u64,
+            shared_base: window as u64,
+        };
+        block.replay_phases(refill, |block| {
+            block.par_threads(|t| {
+                let p = seg_base + t.tid;
+                if p < chunk.len() {
+                    t.global_read((chunk_start + p) as u64, 1);
+                    t.shared_write((window + t.tid) as u64, 1);
+                }
+                let p = p + tpb;
+                if t.tid < params.max_match && p < chunk.len() {
+                    t.global_read((chunk_start + p) as u64, 1);
+                    t.shared_write((window + tpb + t.tid) as u64, 1);
+                }
+            });
         });
         // Phase 2: every thread matches its position against the window.
         // The staggered start offsets make the shared-memory traffic

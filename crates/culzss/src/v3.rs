@@ -38,11 +38,14 @@
 //! inside the next segment's ring, never past it. On the host, the only
 //! per-position state is the record array; compaction walks the token
 //! list itself, since each lane's tokens are one contiguous run of it.
-//! The body bytes come from the Fixed16 encoder, so a V3 stream is
-//! byte-identical to V2's (pinned by `tests/differential.rs` and the
-//! golden fixtures).
+//! Refill, sizing and scan log accesses that follow from the segment
+//! fill and the chunk length alone, so unarmed launches price them once
+//! per shape and replay them ([`culzss_gpusim::replay`]). The body
+//! bytes come from the Fixed16 encoder, so a V3 stream is byte-identical
+//! to V2's (pinned by `tests/differential.rs` and the golden fixtures).
 
 use culzss_gpusim::exec::{BlockCtx, BlockKernel};
+use culzss_gpusim::PhaseShape;
 use culzss_lzss::config::LzssConfig;
 use culzss_lzss::format;
 use culzss_lzss::token::Token;
@@ -240,39 +243,50 @@ impl BlockKernel for V3CompressKernel<'_> {
             lo..hi
         };
 
-        // Phase 4: lane-local sizing — each lane reduces its bitmap
-        // slice to a (token count, match count) pair and seeds the scan
-        // arrays.
-        block.par_threads(|t| {
-            let span = span_of(t.tid);
-            if !span.is_empty() {
-                t.shared_bulk(2 * span.len().div_ceil(8) as u64, 1);
-                t.charge_ops(span.len() as u64 * V3_SIZE_OPS);
-            }
-            t.shared_write(arena.scan[0] + 2 * t.tid as u64, 2);
-            t.shared_write(arena.scan[2] + 2 * t.tid as u64, 2);
-        });
-
-        // Phase 5: Hillis–Steele inclusive scan over the lane pairs —
-        // the warp decoder's offset_table ping/pong shape, log2(block)
-        // steps, every lane live every step.
-        let (mut src, mut dst) = (0usize, 1usize);
-        let mut stride = 1usize;
-        while stride < t_per_block {
+        // Phases 4–5 depend only on the chunk length and the block
+        // width: the scan arrays sit at fixed multiples of the lane
+        // array size past `arena.scan[0]`.
+        let size_scan = PhaseShape {
+            phase: "v3.size_scan",
+            shape: chunk.len() as u32,
+            global_base: 0,
+            shared_base: arena.scan[0],
+        };
+        block.replay_phases(size_scan, |block| {
+            // Phase 4: lane-local sizing — each lane reduces its bitmap
+            // slice to a (token count, match count) pair and seeds the
+            // scan arrays.
             block.par_threads(|t| {
-                t.charge_ops(2 * V3_SCAN_OPS);
-                t.shared_read(arena.scan[src] + 2 * t.tid as u64, 2);
-                t.shared_read(arena.scan[2 + src] + 2 * t.tid as u64, 2);
-                if t.tid >= stride {
-                    t.shared_read(arena.scan[src] + 2 * (t.tid - stride) as u64, 2);
-                    t.shared_read(arena.scan[2 + src] + 2 * (t.tid - stride) as u64, 2);
+                let span = span_of(t.tid);
+                if !span.is_empty() {
+                    t.shared_bulk(2 * span.len().div_ceil(8) as u64, 1);
+                    t.charge_ops(span.len() as u64 * V3_SIZE_OPS);
                 }
-                t.shared_write(arena.scan[dst] + 2 * t.tid as u64, 2);
-                t.shared_write(arena.scan[2 + dst] + 2 * t.tid as u64, 2);
+                t.shared_write(arena.scan[0] + 2 * t.tid as u64, 2);
+                t.shared_write(arena.scan[2] + 2 * t.tid as u64, 2);
             });
-            std::mem::swap(&mut src, &mut dst);
-            stride *= 2;
-        }
+
+            // Phase 5: Hillis–Steele inclusive scan over the lane pairs —
+            // the warp decoder's offset_table ping/pong shape,
+            // log2(block) steps, every lane live every step.
+            let (mut src, mut dst) = (0usize, 1usize);
+            let mut stride = 1usize;
+            while stride < t_per_block {
+                block.par_threads(|t| {
+                    t.charge_ops(2 * V3_SCAN_OPS);
+                    t.shared_read(arena.scan[src] + 2 * t.tid as u64, 2);
+                    t.shared_read(arena.scan[2 + src] + 2 * t.tid as u64, 2);
+                    if t.tid >= stride {
+                        t.shared_read(arena.scan[src] + 2 * (t.tid - stride) as u64, 2);
+                        t.shared_read(arena.scan[2 + src] + 2 * (t.tid - stride) as u64, 2);
+                    }
+                    t.shared_write(arena.scan[dst] + 2 * t.tid as u64, 2);
+                    t.shared_write(arena.scan[2 + dst] + 2 * t.tid as u64, 2);
+                });
+                std::mem::swap(&mut src, &mut dst);
+                stride *= 2;
+            }
+        });
 
         // Phase 6: compaction — each lane re-walks its slice and scatters
         // the tokens that start in it into the staged body at
