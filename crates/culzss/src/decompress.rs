@@ -416,65 +416,74 @@ impl WarpDecompressKernel<'_> {
             }
         });
 
-        // Pass 1b (parallel over groups): unpack each group's tokens and
-        // reduce the group's output coverage into the scan ping buffer.
-        block.par_threads(|t| {
-            let mut ops = 0u64;
-            let mut cached = 0u64;
-            for g in (t.tid..groups).step_by(block_dim) {
-                t.shared_read(goff_base + 2 * g as u64, 2);
-                let lo = g * 8;
-                let hi = (lo + 8).min(n_tokens);
-                for tok in &tokens[lo..hi] {
-                    ops += WARP_TOKEN_PARSE_OPS;
-                    // Flag bit plus 1 (literal) or 2 (match) field bytes
-                    // through L1.
-                    cached += match tok {
-                        Token::Literal(_) => 1,
-                        Token::Match { .. } => 2,
-                    };
-                }
-                t.shared_write(scan_a + 2 * g as u64, 2);
-            }
-            if ops > 0 {
-                t.charge_ops(ops);
-                t.global_cached_bulk(cached);
-            }
-        });
-
-        // Pass 1c: Hillis–Steele inclusive scan over the per-group
-        // coverages, ping-pong buffered so each step only reads values
-        // the previous phase wrote. ⌈log2(groups)⌉ barriers. Its accesses
-        // follow from `groups` and the ping buffer's base, which is
-        // 2 (tokens + groups) and so sits at either parity of a word.
+        // Passes 1b and 1c log accesses that follow from `groups` and the
+        // base of the group offsets: the ping buffer sits 2 · groups bytes
+        // past it, and the base is 2 · tokens, so it sits at either parity
+        // of a word. Pass 1b's ops and L1 fetches follow the literal/match
+        // mix and run per lane; pass 1c only meters.
         let group_scan = PhaseShape {
             phase: "warp.group_scan",
             shape: groups as u32,
-            global_base: 0,
-            shared_base: scan_a,
+            params: 0,
+            global_bases: [0; 2],
+            shared_base: goff_base,
         };
-        block.replay_phases(group_scan, |block| {
-            let (mut src, mut dst) = (scan_a, scan_b);
-            let mut stride = 1usize;
-            while stride < groups {
+        block.replay_memory(
+            group_scan,
+            |block| {
+                // Pass 1b (parallel over groups): unpack each group's
+                // tokens and reduce the group's output coverage into the
+                // scan ping buffer.
                 block.par_threads(|t| {
                     let mut ops = 0u64;
+                    let mut cached = 0u64;
                     for g in (t.tid..groups).step_by(block_dim) {
-                        ops += WARP_PREFIX_OPS;
-                        t.shared_read(src + 2 * g as u64, 2);
-                        if g >= stride {
-                            t.shared_read(src + 2 * (g - stride) as u64, 2);
+                        t.shared_read(goff_base + 2 * g as u64, 2);
+                        let lo = g * 8;
+                        let hi = (lo + 8).min(n_tokens);
+                        for tok in &tokens[lo..hi] {
+                            ops += WARP_TOKEN_PARSE_OPS;
+                            // Flag bit plus 1 (literal) or 2 (match) field
+                            // bytes through L1.
+                            cached += match tok {
+                                Token::Literal(_) => 1,
+                                Token::Match { .. } => 2,
+                            };
                         }
-                        t.shared_write(dst + 2 * g as u64, 2);
+                        t.shared_write(scan_a + 2 * g as u64, 2);
                     }
                     if ops > 0 {
                         t.charge_ops(ops);
+                        t.global_cached_bulk(cached);
                     }
                 });
-                std::mem::swap(&mut src, &mut dst);
-                stride *= 2;
-            }
-        });
+            },
+            |block| {
+                // Pass 1c: Hillis–Steele inclusive scan over the per-group
+                // coverages, ping-pong buffered so each step only reads
+                // values the previous phase wrote. ⌈log2(groups)⌉ barriers.
+                let (mut src, mut dst) = (scan_a, scan_b);
+                let mut stride = 1usize;
+                while stride < groups {
+                    block.par_threads(|t| {
+                        let mut ops = 0u64;
+                        for g in (t.tid..groups).step_by(block_dim) {
+                            ops += WARP_PREFIX_OPS;
+                            t.shared_read(src + 2 * g as u64, 2);
+                            if g >= stride {
+                                t.shared_read(src + 2 * (g - stride) as u64, 2);
+                            }
+                            t.shared_write(dst + 2 * g as u64, 2);
+                        }
+                        if ops > 0 {
+                            t.charge_ops(ops);
+                        }
+                    });
+                    std::mem::swap(&mut src, &mut dst);
+                    stride *= 2;
+                }
+            },
+        );
         // Each step swaps the buffers, so the sums end in the ping buffer
         // after an even number of steps.
         let steps = groups.next_power_of_two().trailing_zeros();

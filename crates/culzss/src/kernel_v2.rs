@@ -19,6 +19,11 @@
 //! loop, `ChunkMatcher::match_segment`, that [`crate::v3`] shares: the
 //! two kernels differ only in where each record goes. V2 stores it to
 //! global memory; V3 parks it in shared memory for its on-device walk.
+//!
+//! Both phases' logged accesses follow from the thread layout, not the
+//! data, so unarmed launches price them once per shape
+//! ([`culzss_gpusim::replay`]): the refill replays whole, and the match
+//! phase replays its memory while its search ops still run per lane.
 
 use culzss_gpusim::exec::{BlockCtx, BlockKernel, LaunchError, LaunchStats, ThreadCtx};
 use culzss_gpusim::PhaseShape;
@@ -68,7 +73,10 @@ impl BlockKernel for V2MatchKernel<'_> {
         let (n, base) = (self.input.len(), matcher.chunk_start);
         let mut records: Vec<MatchRecord> = vec![(0, 0); matcher.chunk.len()];
         for seg_base in (0..matcher.chunk.len()).step_by(block.block_dim) {
-            matcher.match_segment(block, seg_base, |t, p, rec| {
+            // Where the segment's first record goes in each result array.
+            let stores =
+                [n + (base + seg_base) * 2, n * 3 + (base + seg_base) * 2].map(|a| a as u64);
+            matcher.match_segment(block, seg_base, ("v2.match", stores), |t, p, rec| {
                 records[p] = rec;
                 // Write the two result arrays (offset, length) back to
                 // global memory — consecutive u16s, coalesced.
@@ -97,6 +105,10 @@ pub(crate) struct ChunkMatcher<'a> {
     pub(crate) chunk: &'a [u8],
     pub(crate) chunk_start: usize,
     searcher: MatchSearcher<'a>,
+    /// The parameters that place the match phase's accesses, packed for
+    /// its replay key; `None` outside the ranges validation allows, where
+    /// the phase is always metered exactly.
+    key_params: Option<u64>,
 }
 
 impl<'a> ChunkMatcher<'a> {
@@ -109,18 +121,23 @@ impl<'a> ChunkMatcher<'a> {
     ) -> Self {
         let chunk_start = chunk_idx * params.chunk_size;
         let chunk = &input[chunk_start..(chunk_start + params.chunk_size).min(input.len())];
-        Self { params, chunk, chunk_start, searcher: MatchSearcher::new(chunk, config) }
+        let key_params = match_key_params(params);
+        Self { params, chunk, chunk_start, searcher: MatchSearcher::new(chunk, config), key_params }
     }
 
     /// The segment whose first position is `seg_base`: the cooperative
     /// refill of the staging buffer, then one position per thread
     /// searched against the window. `store` gets each live thread's
     /// position and record after the search is metered, and logs where
-    /// the record goes.
+    /// the record goes: lane `tid`'s accesses must sit at fixed offsets,
+    /// set by the parameters and `tid`, from the shared address 0 and the
+    /// global `bases` of `(phase, bases)`, where `phase` names the
+    /// storing kernel in the match phase's replay key.
     pub(crate) fn match_segment(
         &mut self,
         block: &mut BlockCtx,
         seg_base: usize,
+        (phase, bases): (&'static str, [u64; 2]),
         mut store: impl FnMut(&mut ThreadCtx, usize, MatchRecord),
     ) {
         let (params, chunk, chunk_start) = (self.params, self.chunk, self.chunk_start);
@@ -137,7 +154,8 @@ impl<'a> ChunkMatcher<'a> {
         let refill = PhaseShape {
             phase: "culzss.refill",
             shape: (live + extension) as u32,
-            global_base: (chunk_start + seg_base) as u64,
+            params: 0,
+            global_bases: [(chunk_start + seg_base) as u64, 0],
             shared_base: window as u64,
         };
         block.replay_phases(refill, |block| {
@@ -156,29 +174,66 @@ impl<'a> ChunkMatcher<'a> {
         });
         // Phase 2: every thread matches its position against the window.
         // The staggered start offsets make the shared-memory traffic
-        // conflict-free (modelled as 1-way).
-        block.par_threads(|t| {
-            let p = seg_base + t.tid;
-            if p >= chunk.len() {
-                return;
+        // conflict-free (modelled as 1-way). Its logged accesses follow
+        // from the block width, the parameters, the store bases and the
+        // remaining length, which only decides the lane count and the
+        // lookahead spans up to `tpb + max_match`; the search's ops and
+        // bulk traffic follow the data and are charged per lane.
+        let searcher = &mut self.searcher;
+        let mut phase2 = |block: &mut BlockCtx| {
+            block.par_threads(|t| {
+                let p = seg_base + t.tid;
+                if p >= chunk.len() {
+                    return;
+                }
+                let m = searcher.search(p);
+                t.charge_ops(m.work.ops());
+                if params.use_shared_memory {
+                    // Exact ranged reads hand the sanitizer this phase's
+                    // read set — the window scan (uniform across the warp,
+                    // a broadcast) and this thread's lookahead span — while
+                    // the inner-loop byte traffic stays on the bulk path.
+                    t.shared_read(0, window as u32);
+                    let span = params.max_match.min(chunk.len() - p).max(1);
+                    t.shared_read((window + t.tid) as u64, span as u32);
+                    t.shared_bulk(m.work.accesses(), 1);
+                } else {
+                    t.global_cached_bulk(m.work.accesses());
+                }
+                store(t, p, (m.distance, m.length));
+            })
+        };
+        match self.key_params {
+            Some(params) => {
+                let remaining = (chunk.len() - seg_base).min(tpb + self.params.max_match);
+                let shape = PhaseShape {
+                    phase,
+                    shape: remaining as u32,
+                    params,
+                    global_bases: bases,
+                    shared_base: 0,
+                };
+                block.replay_memory(shape, phase2, |_| {});
             }
-            let m = self.searcher.search(p);
-            t.charge_ops(m.work.ops());
-            if params.use_shared_memory {
-                // Exact ranged reads hand the sanitizer this phase's read
-                // set — the window scan (uniform across the warp, a
-                // broadcast) and this thread's lookahead span — while the
-                // inner-loop byte traffic stays on the bulk path.
-                t.shared_read(0, window as u32);
-                let span = params.max_match.min(chunk.len() - p).max(1);
-                t.shared_read((window + t.tid) as u64, span as u32);
-                t.shared_bulk(m.work.accesses(), 1);
-            } else {
-                t.global_cached_bulk(m.work.accesses());
-            }
-            store(t, p, (m.distance, m.length));
-        });
+            None => phase2(block),
+        }
     }
+}
+
+/// The parameters that decide the match phase's accesses, one 16-bit
+/// field each: the window broadcast and the lookahead spans sit at fixed
+/// offsets of the staging buffer, and V3's record ring sits behind it.
+/// `None` when a value does not fit its field, which validated parameters
+/// always do (a window of at most 256, `max_match` and a block width
+/// below 2¹⁶).
+fn match_key_params(params: &CulzssParams) -> Option<u64> {
+    let field = |value: usize| u16::try_from(value).ok().map(u64::from);
+    Some(
+        field(params.window_size)?
+            | field(params.max_match)? << 16
+            | field(params.threads_per_block)? << 32
+            | u64::from(params.use_shared_memory) << 48,
+    )
 }
 
 /// Runs the V2 matching kernel, returning per-chunk match records in

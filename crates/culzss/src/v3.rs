@@ -40,7 +40,10 @@
 //! list itself, since each lane's tokens are one contiguous run of it.
 //! Refill, sizing and scan log accesses that follow from the segment
 //! fill and the chunk length alone, so unarmed launches price them once
-//! per shape and replay them ([`culzss_gpusim::replay`]). The body
+//! per shape and replay them ([`culzss_gpusim::replay`]). The match
+//! phase's accesses (window broadcast, lookahead spans, ring stores)
+//! follow from the remaining length too, so it replays its memory while
+//! its search ops run per lane. The body
 //! bytes come from the Fixed16 encoder, so a V3 stream is byte-identical
 //! to V2's (pinned by `tests/differential.rs` and the golden fixtures).
 
@@ -189,7 +192,7 @@ impl BlockKernel for V3CompressKernel<'_> {
             // Phases 1–2: V2's refill and match, except that each record
             // is parked in the segment ring instead of stored to global
             // memory, so it never leaves the chip.
-            matcher.match_segment(block, seg_base, |t, p, rec| {
+            matcher.match_segment(block, seg_base, ("v3.match", [0; 2]), |t, p, rec| {
                 records[p] = rec;
                 t.shared_write(arena.rec + 2 * t.tid as u64, 2);
             });
@@ -249,7 +252,8 @@ impl BlockKernel for V3CompressKernel<'_> {
         let size_scan = PhaseShape {
             phase: "v3.size_scan",
             shape: chunk.len() as u32,
-            global_base: 0,
+            params: 0,
+            global_bases: [0; 2],
             shared_base: arena.scan[0],
         };
         block.replay_phases(size_scan, |block| {

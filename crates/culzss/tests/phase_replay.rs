@@ -2,8 +2,10 @@
 //!
 //! The compress kernels' staging refill (V2 and V3), V3's sizing and
 //! lane scan, and the warp decoder's group scan are priced once per shape
-//! and replayed from the simulator's memo (`culzss_gpusim::replay`). For
-//! each launch this suite compares, block by block and field by field
+//! and replayed from the simulator's memo (`culzss_gpusim::replay`). The
+//! compress kernels' match phase and the warp decoder's pass 1b replay
+//! only their memory: their ops follow the data and still run per lane.
+//! For each launch this suite compares, block by block and field by field
 //! (floats by their bits), three runs:
 //!
 //! * an armed launch, which bypasses the memo and meters every access;
@@ -131,16 +133,69 @@ fn compress_params() -> Vec<(&'static str, CulzssParams)> {
     ]
 }
 
+fn compress(sim: &GpuSim, input: &[u8], params: &CulzssParams) -> LaunchStats {
+    match params.version {
+        Version::V3 => v3::run_pooled(sim, input, params, &BufferPool::new()).unwrap().1,
+        _ => kernel_v2::run(sim, input, params).unwrap().1,
+    }
+}
+
 #[test]
 fn compress_launches_replay_exactly() {
     for (engine, params) in compress_params() {
-        let launch = |sim: &GpuSim, input: &Vec<u8>| match params.version {
-            Version::V3 => v3::run_pooled(sim, input, &params, &BufferPool::new()).unwrap().1,
-            _ => kernel_v2::run(sim, input, &params).unwrap().1,
-        };
+        let launch = |sim: &GpuSim, input: &Vec<u8>| compress(sim, input, &params);
         for (name, input, other) in compress_inputs() {
             assert_replay_exact(&format!("{engine}, {name}"), &input, &[other], launch);
         }
+    }
+}
+
+/// The match phase's key has to hold everything that places its
+/// accesses, because one memo serves every launch on a simulator and its
+/// clones. So V2 and then V3, each with and without shared staging, run
+/// on one simulator under each engine's default parameters and under a
+/// second set with another window, another `max_match` and an odd chunk
+/// size. Odd chunk sizes start chunks at odd offsets, where V2's second
+/// result array's alignment no longer follows from the first's. The
+/// input lengths differ modulo the 128-byte transaction. Every launch
+/// must match an armed one block by block, cold and then warm.
+#[test]
+fn one_memo_serves_every_engine_and_parameter_set() {
+    let second = |mut params: CulzssParams| {
+        (params.window_size, params.max_match, params.chunk_size) = (64, 10, 1003);
+        params
+    };
+    let mut runs = Vec::new();
+    for (set, pick) in [("default", None), ("second set", Some(second))] {
+        for (engine, params) in compress_params() {
+            let params = pick.map_or(params.clone(), |pick| pick(params));
+            for len in [4096, 6001, 8256, 8212] {
+                let input = Dataset::CFiles.generate(len, 5);
+                let exact = compress(&sim().with_sanitizer(), &input, &params);
+                runs.push((format!("{engine}, {set}, {len} bytes"), params.clone(), input, exact));
+            }
+        }
+    }
+    let shared = sim();
+    for pass in ["cold", "warm"] {
+        for (what, params, input, exact) in &runs {
+            assert_same_blocks(what, pass, exact, &compress(&shared, input, params));
+        }
+    }
+}
+
+/// Capping the remaining length at `block_dim + max_match` keeps the
+/// match phase to two shapes per chunk size: every segment with at least
+/// that much left, and the chunk's last one.
+#[test]
+fn whole_segments_share_one_match_entry() {
+    for (engine, params) in compress_params() {
+        let sim = GpuSim::new(DeviceSpec::gtx480()).with_workers(1);
+        compress(&sim, &Dataset::CFiles.generate(CORPUS_BYTES, 5), &params);
+        let stats = sim.replay_stats();
+        let phase = if params.version == Version::V3 { "v3.match" } else { "v2.match" };
+        let matched = stats.phases.iter().find(|p| p.phase == phase).unwrap();
+        assert_eq!((matched.entries, matched.misses), (2, 2), "{engine}");
     }
 }
 

@@ -22,7 +22,7 @@ use parking_lot::Mutex;
 use crate::cost::{cost_launch, KernelCost};
 use crate::device::DeviceSpec;
 use crate::fault::{DeviceFaultModel, FaultKind, LaunchDisposition};
-use crate::meter::{BlockMeter, BlockMetrics};
+use crate::meter::{BlockMeter, BlockMetrics, MemoryMode};
 use crate::replay::{PhaseDelta, PhaseShape, ReplayMemo, ReplayStats};
 use crate::sanitizer::{AccessKind, BlockSanitizerReport, SanitizerReport};
 
@@ -183,17 +183,50 @@ impl BlockCtx {
     /// Armed launches, and blocks in which a thread has exited, always
     /// run `phases` on the exact meter.
     pub fn replay_phases(&mut self, shape: PhaseShape, phases: impl FnOnce(&mut BlockCtx)) {
+        self.replay_memory(shape, |_| {}, phases);
+    }
+
+    /// Runs `live`, one or more complete phases whose logged accesses
+    /// follow from `shape` and the block width but whose ops and bulk
+    /// charges may follow the data, then [`Self::replay_phases`]'s
+    /// `phases` under the same shape ([`crate::replay`]). `live` always
+    /// runs. When the shape is stored, each access `live` logs charges
+    /// only its issue op, so every warp's busiest lane stays exact, and
+    /// the stored delta of those accesses and of `phases` is added after
+    /// `live` in place of running `phases`. Otherwise both are metered
+    /// exactly, with `live`'s logged accesses priced apart from its bulk
+    /// charges, and what the accesses and `phases` added is stored.
+    ///
+    /// Armed launches, and blocks in which a thread has exited, always
+    /// run both on the exact meter.
+    pub fn replay_memory(
+        &mut self,
+        shape: PhaseShape,
+        live: impl FnOnce(&mut BlockCtx),
+        phases: impl FnOnce(&mut BlockCtx),
+    ) {
         let Some(memo) = self.replay.take() else {
+            live(self);
             return phases(self);
         };
         if self.exited.contains(&true) {
+            live(self);
             phases(self);
         } else {
             let key = memo.key(&shape, self.block_dim);
             if let Some(delta) = memo.lookup(&key, shape.shape) {
+                self.meter.set_memory(MemoryMode::Replayed);
+                live(self);
+                self.meter.set_memory(MemoryMode::Exact);
                 delta.apply(self.meter.metrics_mut());
             } else {
+                self.meter.set_memory(MemoryMode::Recorded(BlockMetrics::default()));
+                live(self);
+                let MemoryMode::Recorded(memory) = self.meter.set_memory(MemoryMode::Exact) else {
+                    unreachable!("only this method changes the memory mode");
+                };
                 let before = self.meter.metrics().clone();
+                self.meter.metrics_mut().merge(&memory);
                 phases(self);
                 // A run that left work before a barrier or exited a thread
                 // is not a whole phase run, so it is not stored.
@@ -785,13 +818,14 @@ mod tests {
             let shape = PhaseShape {
                 phase: "test.stage",
                 shape: live as u32,
-                global_base: 4096 * block.block_idx as u64,
+                params: 0,
+                global_bases: [4096 * block.block_idx as u64, 0],
                 shared_base: 64,
             };
             block.replay_phases(shape, |block| {
                 block.par_threads(|t| {
                     if t.tid < live {
-                        t.global_read(shape.global_base + 4 * t.tid as u64, 4);
+                        t.global_read(shape.global_bases[0] + 4 * t.tid as u64, 4);
                         t.shared_write(64 + 4 * t.tid as u64, 4);
                         t.shared_write(0, 4);
                     }
@@ -860,6 +894,130 @@ mod tests {
             assert_eq!(warm.per_block, fresh.per_block, "block width {width}");
         }
         assert_eq!(sim.replay_stats().entries, 2);
+    }
+
+    /// Each block's live lanes log accesses that follow from `live` alone
+    /// (one racing on a shared word) while their ops and bulk charges
+    /// follow `data`; a shape-only phase follows. Blocks listed in `exit`
+    /// retire thread 3 first. Each block returns the accesses its last
+    /// live lane saw logged before the barrier.
+    struct Searched {
+        live: Vec<usize>,
+        data: Vec<u64>,
+        exit: Vec<usize>,
+    }
+
+    impl BlockKernel for Searched {
+        type Output = usize;
+        fn run_block(&self, block: &mut BlockCtx) -> usize {
+            let (live, data) = (self.live[block.block_idx], self.data[block.block_idx]);
+            if self.exit.contains(&block.block_idx) {
+                block.par_threads(|t| {
+                    if t.tid == 3 {
+                        t.exit_thread();
+                    }
+                });
+            }
+            let shape = PhaseShape {
+                phase: "test.search",
+                shape: live as u32,
+                params: 0,
+                global_bases: [4096 * block.block_idx as u64, 1 << 20],
+                shared_base: 64,
+            };
+            let mut logged = 0;
+            block.replay_memory(
+                shape,
+                |block| {
+                    block.par_threads(|t| {
+                        if t.tid >= live {
+                            return;
+                        }
+                        let work = (data * (t.tid as u64 + 1)) % 23;
+                        t.charge_ops(work);
+                        t.shared_bulk(work % 5, 1 + work % 3);
+                        t.global_cached_bulk(work % 2);
+                        t.shared_read(0, 64);
+                        t.shared_write(64 + 4 * t.tid as u64, 4);
+                        t.shared_write(0, 4);
+                        t.global_write(shape.global_bases[0] + 4 * t.tid as u64, 4);
+                        t.global_write(shape.global_bases[1] + 2 * t.tid as u64, 2);
+                        if t.tid + 1 == live {
+                            logged = t.meter.logged_accesses();
+                        }
+                    });
+                },
+                |block| block.single_thread(|t| t.charge_ops(live as u64)),
+            );
+            logged
+        }
+    }
+
+    fn searched(live: &[usize], data: u64, exit: &[usize]) -> Searched {
+        Searched {
+            live: live.to_vec(),
+            data: (0..live.len() as u64).map(|b| data.wrapping_mul(b + 5) % 97).collect(),
+            exit: exit.to_vec(),
+        }
+    }
+
+    #[test]
+    fn a_memory_replay_keeps_the_ops_of_the_data_it_runs_on() {
+        let live = [128, 5, 128, 77, 5, 128, 77, 1];
+        let cfg = LaunchConfig::new(live.len(), 128);
+        let exact = GpuSim::new(DeviceSpec::gtx480())
+            .with_sanitizer()
+            .launch(cfg, &searched(&live, 7, &[]))
+            .unwrap();
+        let sim = GpuSim::new(DeviceSpec::gtx480()).with_workers(1);
+        let cold = sim.launch(cfg, &searched(&live, 7, &[])).unwrap();
+        // Other data with the same shapes: every block's busiest lanes and
+        // bulk charges differ from the run the deltas were taken from.
+        sim.launch(cfg, &searched(&live, 11, &[])).unwrap();
+        let warm = sim.launch(cfg, &searched(&live, 7, &[])).unwrap();
+        for run in [&cold, &warm] {
+            assert_eq!(run.stats.per_block, exact.stats.per_block);
+            assert_eq!(run.stats.cost.cycles, exact.stats.cost.cycles);
+        }
+        let stats = sim.replay_stats();
+        assert_eq!(stats.entries, 4, "one entry per live count");
+        assert_eq!(stats.phases[0].misses, 4, "one worker prices each shape once");
+        // A hit logs nothing: the lanes' logs stay empty up to the
+        // barrier. The cold launch misses on each live count's first block.
+        for (block, &logged) in cold.outputs.iter().enumerate() {
+            let first = !live[..block].contains(&live[block]);
+            assert_eq!(logged > 0, first, "block {block}: {:?}", cold.outputs);
+        }
+        assert_eq!(warm.outputs, vec![0; live.len()]);
+    }
+
+    #[test]
+    fn armed_launches_and_exited_threads_bypass_the_memory_replay() {
+        let live = [128, 5, 77, 128];
+        let cfg = LaunchConfig::new(live.len(), 128);
+        let exact = |kernel: &Searched| {
+            GpuSim::new(DeviceSpec::gtx480()).with_sanitizer().launch(cfg, kernel).unwrap().stats
+        };
+        let sim = GpuSim::new(DeviceSpec::gtx480());
+        sim.launch(cfg, &searched(&live, 5, &[])).unwrap();
+        let before = sim.replay_stats();
+        let armed = sim.clone().with_sanitizer();
+        for exit in [&[][..], &[0, 2]] {
+            let kernel = searched(&live, 3, exit);
+            let cold = exact(&kernel);
+            let warm = armed.launch(cfg, &kernel).unwrap();
+            assert_eq!(sim.replay_stats(), before, "an armed launch touched the memo");
+            assert!(warm.stats.sanitizer.as_ref().unwrap().conflicts > 0, "the fixture races");
+            assert_eq!(warm.stats.sanitizer, cold.sanitizer);
+            assert_eq!(warm.stats.per_block, cold.per_block);
+            assert!(warm.outputs.iter().all(|&logged| logged > 0));
+        }
+        // Unarmed, a block with an exited thread meters exactly and
+        // neither looks the memo up nor stores into it.
+        let all_exit = searched(&live, 3, &[0, 1, 2, 3]);
+        let unarmed = sim.launch(cfg, &all_exit).unwrap();
+        assert_eq!(sim.replay_stats(), before, "an exited block used the memo");
+        assert_eq!(unarmed.stats.per_block, exact(&all_exit).per_block);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! [`crate::coalesce`]. The result is a [`BlockMetrics`] that the cost
 //! model converts to cycles.
 //!
-//! Three accounting paths exist:
+//! Four accounting paths exist:
 //!
 //! * **exact** — `global_read`/`shared_read` log individual accesses; at
 //!   the barrier, the k-th access of each thread in a warp is treated as
@@ -20,6 +20,11 @@
 //! * **replayed** — phases whose accesses depend only on the block's
 //!   shape are priced exactly once per shape and their metric delta is
 //!   added from then on ([`crate::replay`]).
+//! * **memory-replayed** — a phase whose ops follow the data but whose
+//!   accesses do not replays only its memory ([`crate::replay`]): on a
+//!   hit a logged access charges its issue op and nothing else, and on a
+//!   miss the logged accesses are priced into a side sum kept apart from
+//!   the bulk charges.
 //!
 //! The exact path allocates nothing once warm. Each launch worker owns one
 //! meter and hands it from block to block ([`BlockMeter::finish_block`]
@@ -92,6 +97,20 @@ impl BlockMetrics {
     }
 }
 
+/// Where a phase run's logged accesses are priced (see
+/// [`crate::replay`]).
+#[derive(Debug)]
+pub(crate) enum MemoryMode {
+    /// Into the block's metrics.
+    Exact,
+    /// Into this side sum, which the caller adds to the block's metrics
+    /// and stores: a memory replay that missed the memo.
+    Recorded(BlockMetrics),
+    /// Nowhere: each access charges only its issue op, and the caller
+    /// adds the stored delta: a memory replay that hit the memo.
+    Replayed,
+}
+
 /// Live metering state for one executing block; reusable across blocks
 /// of the same geometry.
 #[derive(Debug)]
@@ -113,6 +132,8 @@ pub struct BlockMeter {
     /// Racecheck state; present only on an armed simulator
     /// ([`crate::exec::GpuSim::with_sanitizer`]).
     sanitizer: Option<Box<SanitizerState>>,
+    /// Where logged accesses are priced; never `Replayed` while armed.
+    memory: MemoryMode,
 }
 
 impl BlockMeter {
@@ -134,6 +155,7 @@ impl BlockMeter {
             scratch: InstructionScratch::default(),
             bank_counts: BankCounts::new(shared_banks),
             sanitizer: None,
+            memory: MemoryMode::Exact,
         }
     }
 
@@ -161,8 +183,13 @@ impl BlockMeter {
     /// Logs an exact global access for thread `tid`.
     #[inline]
     pub fn log_global(&mut self, tid: usize, addr: u64, bytes: u32) {
+        let sums = match &mut self.memory {
+            MemoryMode::Exact => &mut self.metrics,
+            MemoryMode::Recorded(sums) => sums,
+            MemoryMode::Replayed => return self.charge_ops(tid, 1),
+        };
+        sums.global_bytes += u64::from(bytes);
         self.phase_global[tid].push(Access { addr, bytes });
-        self.metrics.global_bytes += u64::from(bytes);
         // A memory instruction is still an issued instruction.
         self.charge_ops(tid, 1);
     }
@@ -172,12 +199,27 @@ impl BlockMeter {
     /// direction-agnostic.
     #[inline]
     pub fn log_shared(&mut self, tid: usize, kind: AccessKind, addr: u64, bytes: u32) {
+        let sums = match &mut self.memory {
+            MemoryMode::Exact => &mut self.metrics,
+            MemoryMode::Recorded(sums) => sums,
+            MemoryMode::Replayed => return self.charge_ops(tid, 1),
+        };
+        sums.shared_accesses += 1;
         self.phase_shared[tid].push(Access { addr, bytes });
-        self.metrics.shared_accesses += 1;
         if let Some(san) = &mut self.sanitizer {
             san.log(tid, kind, addr, bytes);
         }
         self.charge_ops(tid, 1);
+    }
+
+    /// Sets where the following logged accesses are priced, returning
+    /// the mode it replaces (with a recorded side sum, if any).
+    pub(crate) fn set_memory(&mut self, mode: MemoryMode) -> MemoryMode {
+        debug_assert!(
+            self.sanitizer.is_none() || matches!(mode, MemoryMode::Exact),
+            "an armed block logs every access"
+        );
+        std::mem::replace(&mut self.memory, mode)
     }
 
     /// Bulk shared-memory accounting: thread `tid` performed `accesses`
@@ -254,9 +296,10 @@ impl BlockMeter {
         let segment_bytes = self.transaction_bytes;
         // The float sums live in locals while instructions are priced, so
         // they stay in registers; the additions and their order are those
-        // of adding into the metrics directly.
-        let mut transactions = self.metrics.global_transactions;
-        let mut cycles = self.metrics.shared_cycles;
+        // of adding into the metrics (or the recorded side sum) directly.
+        let sums = self.priced_into();
+        let mut transactions = sums.global_transactions;
+        let mut cycles = sums.shared_cycles;
         for w in 0..warps {
             let lanes = w * self.warp_size..((w + 1) * self.warp_size).min(self.block_dim);
             let ops = &mut self.phase_ops[lanes.clone()];
@@ -284,8 +327,18 @@ impl BlockMeter {
             });
             shared.iter_mut().for_each(Vec::clear);
         }
-        self.metrics.global_transactions = transactions;
-        self.metrics.shared_cycles = cycles;
+        let sums = self.priced_into();
+        sums.global_transactions = transactions;
+        sums.shared_cycles = cycles;
+    }
+
+    /// The sums logged accesses are priced into at a barrier. A replayed
+    /// phase logs none, so its barrier leaves the metrics as they are.
+    fn priced_into(&mut self) -> &mut BlockMetrics {
+        match &mut self.memory {
+            MemoryMode::Recorded(sums) => sums,
+            MemoryMode::Exact | MemoryMode::Replayed => &mut self.metrics,
+        }
     }
 
     /// Finalizes the meter (flushing any un-barriered phase) and returns
@@ -318,6 +371,12 @@ impl BlockMeter {
     /// The block's metrics, for adding a replayed phase delta.
     pub(crate) fn metrics_mut(&mut self) -> &mut BlockMetrics {
         &mut self.metrics
+    }
+
+    /// Accesses logged since the last barrier, over all lanes.
+    #[cfg(test)]
+    pub(crate) fn logged_accesses(&self) -> usize {
+        self.phase_global.iter().chain(&self.phase_shared).map(Vec::len).sum()
     }
 
     /// True when no access or op is waiting for a barrier.

@@ -4,23 +4,38 @@
 //! block's width and a few shape numbers (how many lanes are live, how
 //! long the chunk is, how many groups a scan covers), never on the data.
 //! Pricing them access by access on every block repeats the same
-//! gather, sort and bank count. [`crate::exec::BlockCtx::replay_phases`]
-//! prices such a run of phases once per shape through the exact meter,
-//! stores the [`BlockMetrics`] delta it produced, and from then on adds
-//! the stored delta instead of running the phases. This is the meter's
-//! third accounting path, beside the exact and the bulk ones
-//! ([`crate::meter`]).
+//! gather, sort and bank count. Such phases are priced once per shape
+//! through the exact meter, the [`BlockMetrics`] delta they produced is
+//! stored, and from then on the stored delta is added instead. This is
+//! the meter's third accounting path, beside the exact and the bulk ones
+//! ([`crate::meter`]), and it comes in two forms that share this memo,
+//! its key and its delta:
+//!
+//! * **Whole phases** ([`crate::exec::BlockCtx::replay_phases`]) whose
+//!   ops follow from the shape too: on a hit they do not run at all.
+//! * **A phase's memory** ([`crate::exec::BlockCtx::replay_memory`]):
+//!   the phase's logged accesses follow from the shape, but its ops and
+//!   bulk charges follow the data. On a hit the phase still runs per
+//!   lane; each logged access charges only its issue op, so every warp's
+//!   busiest lane stays exact, and the stored delta of what the logged
+//!   accesses priced (`global_transactions`, `global_bytes`,
+//!   `shared_cycles`, `shared_accesses`) is added after it. On a miss the
+//!   logged accesses are priced apart from the bulk charges made in the
+//!   same phase, so only what they added is stored.
 //!
 //! **Key.** A delta is stored under the phase's name, the block width,
-//! the caller's shape index, the phase's global base address modulo the
-//! transaction size, and its shared base address modulo the 4-byte bank
-//! word. Moving every global address by whole transactions leaves each
-//! warp instruction's segment count unchanged, and moving every shared
+//! the caller's packed launch parameters, the caller's shape index, each
+//! of the phase's global base addresses modulo the transaction size, and
+//! its shared base address modulo the 4-byte bank word. Moving every
+//! access to one global array by whole transactions leaves each warp
+//! instruction's segment count unchanged, and moving every shared
 //! address by whole words only rotates the banks, which leaves each
 //! instruction's conflict degree unchanged. Everything else that decides
-//! the phase's accesses must follow from the shape and the width: that is
-//! the caller's promise, and the differential test of each caller checks
-//! it per block, field by field.
+//! the phase's accesses must follow from the shape, the parameters and
+//! the width: that is the caller's promise, and the differential test of
+//! each caller checks it per block, field by field. The memo is shared
+//! by every launch on a simulator and its clones, whatever their
+//! parameters, so the parameters belong in the key.
 //!
 //! **Exactness.** Every meter increment is an integer, or a multiple of
 //! `1 / warp_size` (shared bulk) or `1 / transaction_bytes` (global
@@ -51,17 +66,24 @@ pub const REPLAY_MEMO_BYTES: usize = 32 << 10;
 /// Fixed-point units per modelled unit of a stored float delta.
 const FIXED_ONE: f64 = 256.0;
 
-/// Identifies one run of shape-only phases for
-/// [`crate::exec::BlockCtx::replay_phases`].
+/// Identifies one run of replayed phases for
+/// [`crate::exec::BlockCtx::replay_phases`] and
+/// [`crate::exec::BlockCtx::replay_memory`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseShape {
     /// Stable name of the phase run; one name per piece of kernel code.
     pub phase: &'static str,
-    /// Shape index: together with the block width, it must decide every
-    /// access the phases log, relative to the two bases below.
+    /// Shape index: together with the block width and `params`, it must
+    /// decide every access the phases log, relative to the bases below.
     pub shape: u32,
-    /// Global address the phases' global accesses are relative to.
-    pub global_base: u64,
+    /// Launch parameters that decide the logged accesses beside the shape
+    /// and the block width (a window size, say), packed by the caller so
+    /// that different parameters give different values; 0 when the
+    /// accesses follow from the shape and the width alone.
+    pub params: u64,
+    /// Global addresses the phases' global accesses are relative to, one
+    /// per array they touch; unused slots are 0.
+    pub global_bases: [u64; 2],
     /// Shared address the phases' shared accesses are relative to.
     pub shared_base: u64,
 }
@@ -71,7 +93,8 @@ pub struct PhaseShape {
 pub(crate) struct TableKey {
     phase: &'static str,
     block_dim: u32,
-    global_align: u32,
+    params: u64,
+    global_align: [u32; 2],
     shared_align: u32,
 }
 
@@ -180,7 +203,8 @@ impl ReplayMemo {
         TableKey {
             phase: shape.phase,
             block_dim: block_dim as u32,
-            global_align: (shape.global_base % self.transaction_bytes) as u32,
+            params: shape.params,
+            global_align: shape.global_bases.map(|base| (base % self.transaction_bytes) as u32),
             shared_align: (shape.shared_base % 4) as u32,
         }
     }
@@ -259,8 +283,8 @@ pub struct ReplayStats {
     pub phases: Vec<PhaseReplayStats>,
 }
 
-/// One phase name's share of [`ReplayStats`], summed over block widths
-/// and base alignments.
+/// One phase name's share of [`ReplayStats`], summed over block widths,
+/// parameters and base alignments.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseReplayStats {
     /// The phase's [`PhaseShape::phase`].
@@ -318,8 +342,13 @@ mod tests {
     fn the_memo_stays_within_its_budget() {
         let memo = ReplayMemo::new(32, 128).unwrap();
         let delta = PhaseDelta([1; 8]);
-        let shape =
-            |phase, shared_base| PhaseShape { phase, shape: 0, global_base: 0, shared_base };
+        let shape = |phase, shared_base| PhaseShape {
+            phase,
+            shape: 0,
+            params: 0,
+            global_bases: [0; 2],
+            shared_base,
+        };
         for (phase, base) in [("a", 0), ("a", 2), ("b", 0)] {
             let key = memo.key(&shape(phase, base), 128);
             for s in 0..5_000 {
