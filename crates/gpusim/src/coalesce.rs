@@ -10,14 +10,18 @@
 //! metering helpers (fast path).
 //!
 //! The exact analytics neither allocate nor hash. An instruction with one
-//! active lane is priced from its span alone. A wider one is sorted by
-//! address in place; identical lane accesses (a broadcast) then
+//! active lane is priced from its span alone. Coalescing sorts a wider
+//! one by address in place; identical lane accesses (a broadcast) then
 //! sit next to each other and fold into one span before anything is
-//! expanded, and overlapping spans merge. Coalescing counts the union of
-//! the spans' segments; bank conflicts count the union's distinct words
-//! per bank in a caller-owned [`BankCounts`] array sized by the device's
-//! bank count. [`strided_conflict_ways`] feeds the same counter, so bank
-//! conflicts have one implementation.
+//! expanded, and overlapping spans merge, so it counts the union of the
+//! spans' segments. Bank conflicts count the distinct words per bank in a
+//! caller-owned [`BankCounts`] sized by the device's bank count. Most
+//! shared instructions touch one or two words per lane, and those are
+//! counted without sorting: an inline set of the instruction's words
+//! drops repeats, and each new word counts once in its bank. Any other
+//! instruction is sorted and merged like a global one.
+//! [`strided_conflict_ways`] feeds the same counter, so bank conflicts
+//! have one implementation.
 
 /// One logged memory access: starting byte address and width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,39 +101,70 @@ fn for_each_run(mut spans: impl Iterator<Item = (u64, u64)>, mut f: impl FnMut((
 /// serialize; multiple threads reading the *same* word broadcast in a
 /// single cycle (Fermi broadcast rule). The returned value is the number
 /// of serialized bank cycles, i.e. `1` for a conflict-free access, `n` for
-/// an `n`-way conflict, and `0` when no access touches a byte. The slice
-/// is sorted by address in place.
+/// an `n`-way conflict, and `0` when no access touches a byte.
+///
+/// An instruction whose accesses each touch at most two adjacent words
+/// is counted through the word set of [`BankCounts`] without sorting.
+/// The others are sorted by address in place and merged into runs first:
+/// an instruction of more accesses than a warp has lanes (32), one whose
+/// words lie 4 096 or more apart (16 KiB), and one with a wider access,
+/// such as the ranged window and lookahead reads of the compress kernels'
+/// match phase (logged only when its memory replay misses and on armed
+/// launches).
+#[inline]
 pub fn shared_conflict_cycles(accesses: &mut [Access], counts: &mut BankCounts) -> u64 {
     if let [access] = *accesses {
         return counts.access_cycles(access);
+    }
+    if let Some(cycles) = counts.word_degree(accesses) {
+        return cycles;
     }
     accesses.sort_unstable_by_key(|a| a.addr);
     counts.degree(accesses.iter().filter_map(|a| a.span(4)))
 }
 
+/// Most accesses an instruction may hold and still be counted through the
+/// word set: a warp's lanes. The meter never builds a wider instruction.
+const WARP_LANES: usize = 32;
+
+/// Words the word set of [`BankCounts`] spans from an instruction's lowest
+/// word: 16 KiB of shared memory, a whole GTX 480 block arena.
+const SET_WORDS: u64 = 4096;
+
 /// Per-bank distinct-word counters: the one bank-conflict routine behind
 /// [`shared_conflict_cycles`] and [`strided_conflict_ways`]. Holds one
 /// fixed count per bank, so a meter keeps a single instance and reuses
 /// it for every warp instruction. Between instructions every counter is
-/// zero; an instruction resets only the banks it touched. A bank's count
-/// never exceeds the instruction's access count, so `u32` holds it.
+/// zero and the word set is empty; an instruction resets only the banks
+/// and set slots it touched. A bank's count never exceeds the
+/// instruction's word count, so `u32` holds it.
 #[derive(Debug, Clone)]
 pub struct BankCounts {
     words: Vec<u32>,
-    /// Banks the current instruction counted into (each listed once).
+    /// Banks the sorted path counted into for the current instruction
+    /// (each listed once); the word set resets its banks from its words.
     touched: Vec<u32>,
+    /// The words an instruction counted so far, bit `w - low` for word
+    /// `w` and the instruction's lowest word `low`. Held inline, so the
+    /// counters allocate nothing beyond their two per-bank vectors.
+    seen: [u64; SET_WORDS as usize / 64],
 }
 
 impl BankCounts {
     /// Counters for a shared memory of `banks` 4-byte banks.
     pub fn new(banks: usize) -> Self {
         assert!(banks > 0, "shared memory needs at least one bank");
-        Self { words: vec![0; banks], touched: Vec::with_capacity(banks) }
+        Self {
+            words: vec![0; banks],
+            touched: Vec::with_capacity(banks),
+            seen: [0; SET_WORDS as usize / 64],
+        }
     }
 
     /// Serialized cycles of an instruction with one active lane: a single
     /// span of `n` words covers every bank `n / banks` times, plus once
     /// more for a partial remainder, so no bank needs counting.
+    #[inline]
     fn access_cycles(&self, access: Access) -> u64 {
         let banks = self.words.len() as u64;
         match access.span(4) {
@@ -139,11 +174,60 @@ impl BankCounts {
         }
     }
 
+    /// The conflict degree of an instruction whose accesses each touch at
+    /// most two adjacent words, all within [`SET_WORDS`] of the lowest and
+    /// at most [`WARP_LANES`] of them, counted in arrival order: the word
+    /// set keeps a repeated word (a broadcast) from counting twice. `None`
+    /// for any other instruction, untouched.
+    fn word_degree(&mut self, accesses: &[Access]) -> Option<u64> {
+        if accesses.len() > WARP_LANES {
+            return None;
+        }
+        let (mut low, mut high) = (u64::MAX, 0);
+        for (first, last) in accesses.iter().filter_map(|a| a.span(4)) {
+            if last - first > 1 {
+                return None;
+            }
+            low = low.min(first);
+            high = high.max(last);
+        }
+        if low > high {
+            return Some(0);
+        }
+        if high - low >= SET_WORDS {
+            return None;
+        }
+        // Branch-free: a word adds one to its bank only when the set did
+        // not hold it yet. An access's last word is its first unless it
+        // straddles two.
+        let Self { words, seen, .. } = self;
+        let banks = words.len();
+        let mut deepest = 0;
+        for (first, last) in accesses.iter().filter_map(|a| a.span(4)) {
+            for word in [first, last] {
+                let bit = (word - low) as usize;
+                let slot = &mut seen[bit / 64];
+                let new = !*slot >> (bit % 64) & 1;
+                *slot |= 1 << (bit % 64);
+                let count = &mut words[bank_of(word, banks)];
+                *count += new as u32;
+                deepest = deepest.max(*count);
+            }
+        }
+        for (first, last) in accesses.iter().filter_map(|a| a.span(4)) {
+            for word in [first, last] {
+                seen[(word - low) as usize / 64] = 0;
+                words[bank_of(word, banks)] = 0;
+            }
+        }
+        Some(u64::from(deepest))
+    }
+
     /// The conflict degree of a set of words: the largest number of
     /// distinct words that map to one bank (0 for no words). `spans` are
     /// inclusive word ranges sorted by their first word.
     fn degree(&mut self, spans: impl Iterator<Item = (u64, u64)>) -> u64 {
-        let Self { words, touched } = self;
+        let Self { words, touched, .. } = self;
         let banks = words.len();
         // A run of n words covers every bank n / banks times; only the
         // remainder needs per-bank counting, and its words sit in
@@ -156,11 +240,7 @@ impl BankCounts {
                 rounds += n / banks as u64;
                 n %= banks as u64;
             }
-            let mut bank = if banks.is_power_of_two() {
-                first as usize & (banks - 1)
-            } else {
-                (first % banks as u64) as usize
-            };
+            let mut bank = bank_of(first, banks);
             for _ in 0..n {
                 if words[bank] == 0 {
                     touched.push(bank as u32);
@@ -178,6 +258,16 @@ impl BankCounts {
         }
         touched.clear();
         rounds + u64::from(deepest)
+    }
+}
+
+/// The bank of `banks` that serves `word`.
+#[inline]
+fn bank_of(word: u64, banks: usize) -> usize {
+    if banks.is_power_of_two() {
+        word as usize & (banks - 1)
+    } else {
+        (word % banks as u64) as usize
     }
 }
 
@@ -320,6 +410,64 @@ mod tests {
             .collect()
     }
 
+    /// One random warp instruction of the narrow shared accesses the
+    /// kernels log most: scattered bytes and aligned or word-straddling
+    /// `u16`s in a 15 KiB arena, lanes that repeat one another's words,
+    /// and instructions that leave the word set's reach, by spreading
+    /// past [`SET_WORDS`] or by having more than [`WARP_LANES`] lanes.
+    fn word_instruction(rng: &mut SmallRng) -> Vec<Access> {
+        const ARENA: u64 = 15 << 10;
+        let shape = rng.gen_range(0u32..6);
+        let lanes = match shape {
+            5 => rng.gen_range(WARP_LANES + 1..80),
+            _ => rng.gen_range(2..=WARP_LANES),
+        };
+        let mut instruction: Vec<Access> = (0..lanes)
+            .map(|_| match shape {
+                // Scattered bytes.
+                0 => acc(rng.gen_range(0..ARENA), 1),
+                // Even-address `u16`s: always inside one word.
+                1 => acc(rng.gen_range(0..ARENA / 2) * 2, 2),
+                // Odd-address `u16`s: those at 3 mod 4 straddle two words.
+                2 => acc(rng.gen_range(0..ARENA / 2) * 2 + 1, 2),
+                // Words further apart than the set reaches.
+                3 => acc(rng.gen_range(0..2 * SET_WORDS * 4), rng.gen_range(1u32..3)),
+                // Narrow, wide and empty accesses mixed.
+                _ => acc(rng.gen_range(0..ARENA), [0u32, 1, 2, 4, 6][rng.gen_range(0usize..5)]),
+            })
+            .collect();
+        // Repeated words: some lanes copy an earlier lane's access, or
+        // touch another byte of its word.
+        for lane in 1..instruction.len() {
+            match rng.gen_range(0u32..4) {
+                0 => instruction[lane] = instruction[rng.gen_range(0..lane)],
+                1 => {
+                    let word = instruction[rng.gen_range(0..lane)].addr & !3;
+                    instruction[lane] = acc(word + rng.gen_range(0..4), 1);
+                }
+                _ => {}
+            }
+        }
+        instruction
+    }
+
+    #[test]
+    fn word_set_matches_the_hash_map_oracle_on_narrow_instructions() {
+        let mut rng = SmallRng::seed_from_u64(0x0b17_5e75);
+        let mut gtx480 = BankCounts::new(32);
+        let mut gtx280 = BankCounts::new(16);
+        for case in 0..6_000 {
+            let instruction = word_instruction(&mut rng);
+            for (counts, banks) in [(&mut gtx480, 32u64), (&mut gtx280, 16)] {
+                assert_eq!(
+                    shared_conflict_cycles(&mut instruction.clone(), counts),
+                    oracle_conflicts(&instruction, banks),
+                    "case {case}: {banks} banks on {instruction:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn analytics_match_the_hash_map_oracle_on_random_instructions() {
         let mut rng = SmallRng::seed_from_u64(0x1a7e_5eed);
@@ -368,6 +516,42 @@ mod tests {
                 );
                 assert!(reused.words.iter().all(|&w| w == 0), "case {case}: stale counters");
                 assert!(reused.touched.is_empty());
+                assert!(reused.seen.iter().all(|&slot| slot == 0), "case {case}: stale words");
+            }
+        }
+    }
+
+    #[test]
+    fn word_set_and_sorted_path_carry_nothing_between_each_other() {
+        // One counter set alternates word-set instructions with ones that
+        // fall back to the sort: a set slot or bank left set by either
+        // path would misprice the next instruction of the other.
+        let mut rng = SmallRng::seed_from_u64(0x5e7_c1ea);
+        for banks in [16usize, 32] {
+            let mut reused = BankCounts::new(banks);
+            for case in 0..3_000 {
+                let mut instruction = match case % 4 {
+                    // Word set: bytes bunched in a few banks.
+                    0 => (0..32).map(|_| acc(rng.gen_range(0u64..512) * 4, 1)).collect(),
+                    // Sorted: a wide access among narrow ones.
+                    1 => vec![acc(rng.gen_range(0u64..64), 1), acc(rng.gen_range(0u64..64), 12)],
+                    // At the set's bound: its last word, or one word past
+                    // it when the second access straddles.
+                    2 => vec![
+                        acc(rng.gen_range(0u64..4), 1),
+                        acc((SET_WORDS - 1) * 4 + rng.gen_range(0u64..4), rng.gen_range(1u32..3)),
+                    ],
+                    _ => word_instruction(&mut rng),
+                };
+                let oracle = oracle_conflicts(&instruction, banks as u64);
+                assert_eq!(
+                    shared_conflict_cycles(&mut instruction, &mut reused),
+                    oracle,
+                    "case {case}: {banks} banks on {instruction:?}"
+                );
+                assert!(reused.words.iter().all(|&w| w == 0), "case {case}: stale counters");
+                assert!(reused.touched.is_empty());
+                assert!(reused.seen.iter().all(|&slot| slot == 0), "case {case}: stale words");
             }
         }
     }

@@ -36,7 +36,11 @@
 //! A barrier costs the accesses it prices, not the block's width: warps
 //! whose lanes did nothing this phase are skipped, and once a single lane
 //! of a warp still holds accesses (a lone copy loop, say) each remaining
-//! instruction is that one access, priced directly without a gather.
+//! instruction is that one access, priced directly without a gather. A
+//! phase that pushed no access into a log (a memory-replay hit, or one
+//! that only charged ops and bulk) skips the log walk altogether. Shared
+//! instructions whose lanes each touch one or two words have their bank
+//! conflicts counted without a sort ([`crate::coalesce::BankCounts`]).
 
 use crate::coalesce::{shared_conflict_cycles, transactions_for_warp, Access, BankCounts};
 use crate::sanitizer::{AccessKind, BlockSanitizerReport, SanitizerState};
@@ -134,6 +138,9 @@ pub struct BlockMeter {
     sanitizer: Option<Box<SanitizerState>>,
     /// Where logged accesses are priced; never `Replayed` while armed.
     memory: MemoryMode,
+    /// True once an access was pushed into a log since the last barrier;
+    /// while false every log is empty.
+    logged: bool,
 }
 
 impl BlockMeter {
@@ -156,6 +163,7 @@ impl BlockMeter {
             bank_counts: BankCounts::new(shared_banks),
             sanitizer: None,
             memory: MemoryMode::Exact,
+            logged: false,
         }
     }
 
@@ -190,6 +198,7 @@ impl BlockMeter {
         };
         sums.global_bytes += u64::from(bytes);
         self.phase_global[tid].push(Access { addr, bytes });
+        self.logged = true;
         // A memory instruction is still an issued instruction.
         self.charge_ops(tid, 1);
     }
@@ -206,6 +215,7 @@ impl BlockMeter {
         };
         sums.shared_accesses += 1;
         self.phase_shared[tid].push(Access { addr, bytes });
+        self.logged = true;
         if let Some(san) = &mut self.sanitizer {
             san.log(tid, kind, addr, bytes);
         }
@@ -300,6 +310,7 @@ impl BlockMeter {
         let sums = self.priced_into();
         let mut transactions = sums.global_transactions;
         let mut cycles = sums.shared_cycles;
+        let logged = std::mem::take(&mut self.logged);
         for w in 0..warps {
             let lanes = w * self.warp_size..((w + 1) * self.warp_size).min(self.block_dim);
             let ops = &mut self.phase_ops[lanes.clone()];
@@ -313,6 +324,9 @@ impl BlockMeter {
                 continue;
             }
             ops.fill(0);
+            if !logged {
+                continue;
+            }
 
             // Coalescing: the k-th logged access of each lane forms one
             // warp-wide memory instruction.
@@ -381,9 +395,7 @@ impl BlockMeter {
 
     /// True when no access or op is waiting for a barrier.
     pub(crate) fn at_barrier(&self) -> bool {
-        self.phase_ops.iter().all(|&o| o == 0)
-            && self.phase_global.iter().all(Vec::is_empty)
-            && self.phase_shared.iter().all(Vec::is_empty)
+        !self.logged && self.phase_ops.iter().all(|&o| o == 0)
     }
 }
 
@@ -632,6 +644,79 @@ mod tests {
                 assert_eq!(metered.shared_cycles, cycles, "case {case}");
             }
         }
+    }
+
+    /// Every lane of a two-warp block charges ops; only the second warp
+    /// logs, each lane one bank-0-or-16 byte and one scattered word.
+    fn log_in_last_warp(m: &mut BlockMeter) {
+        for t in 0..64 {
+            m.charge_ops(t, 3);
+        }
+        for t in 32..64 {
+            m.log_shared(t, AccessKind::Read, (t * 64) as u64, 1);
+            m.log_global(t, (t * 4096) as u64, 4);
+        }
+    }
+
+    #[test]
+    fn a_memory_replay_hit_prices_nothing_at_its_barrier() {
+        let mut m = meter();
+        m.set_memory(MemoryMode::Replayed);
+        log_in_last_warp(&mut m);
+        assert!(!m.logged, "a replayed access reached a log");
+        assert_eq!(m.logged_accesses(), 0);
+        assert!(!m.at_barrier(), "the accesses' issue ops wait for the barrier");
+        m.end_phase();
+        assert!(m.at_barrier());
+        m.set_memory(MemoryMode::Exact);
+        let metrics = m.finish();
+        assert_eq!(metrics.warp_issue_ops, 3.0 + 5.0);
+        assert_eq!((metrics.shared_cycles, metrics.shared_accesses), (0.0, 0));
+        assert_eq!((metrics.global_transactions, metrics.global_bytes), (0.0, 0));
+        assert_eq!(metrics.barriers, 1);
+    }
+
+    #[test]
+    fn recorded_and_exact_phases_price_every_access_after_a_hit() {
+        let mut exact = meter();
+        log_in_last_warp(&mut exact);
+        assert!(!exact.at_barrier());
+        exact.end_phase();
+        assert!(exact.at_barrier());
+        let exact = exact.finish();
+        assert_eq!((exact.shared_cycles, exact.global_transactions), (16.0, 32.0));
+
+        // A hit, then a miss's recorded run, then an exact phase left for
+        // the end-of-block flush: the two later ones price like `exact`.
+        let mut m = meter();
+        m.set_memory(MemoryMode::Replayed);
+        log_in_last_warp(&mut m);
+        m.end_phase();
+        m.set_memory(MemoryMode::Recorded(BlockMetrics::default()));
+        log_in_last_warp(&mut m);
+        assert!(!m.at_barrier());
+        m.end_phase();
+        assert!(m.at_barrier());
+        let MemoryMode::Recorded(recorded) = m.set_memory(MemoryMode::Exact) else {
+            unreachable!("set above");
+        };
+        assert_eq!(recorded.shared_cycles, exact.shared_cycles);
+        assert_eq!(recorded.shared_accesses, exact.shared_accesses);
+        assert_eq!(recorded.global_transactions, exact.global_transactions);
+        assert_eq!(recorded.global_bytes, exact.global_bytes);
+        let before = m.metrics().clone();
+        log_in_last_warp(&mut m);
+        assert!(!m.at_barrier());
+        let mut flushed = m.finish();
+        assert_eq!(flushed.shared_cycles - before.shared_cycles, exact.shared_cycles);
+        assert_eq!(
+            flushed.global_transactions - before.global_transactions,
+            exact.global_transactions
+        );
+        flushed.merge(&recorded);
+        assert_eq!(flushed.shared_cycles, 2.0 * exact.shared_cycles);
+        assert_eq!(flushed.warp_issue_ops, 3.0 * exact.warp_issue_ops);
+        assert_eq!(flushed.barriers, 3);
     }
 
     #[test]
