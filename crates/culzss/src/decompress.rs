@@ -26,7 +26,7 @@
 use std::cell::RefCell;
 
 use culzss_gpusim::exec::{BlockCtx, BlockKernel, LaunchStats, ThreadCtx};
-use culzss_gpusim::{DeviceSpec, GpuSim, LaunchConfig, PhaseShape};
+use culzss_gpusim::{DeviceSpec, GpuSim, LaunchConfig, PhaseShape, SharedRun};
 use culzss_lzss::config::LzssConfig;
 use culzss_lzss::error::Error;
 use culzss_lzss::format::TokenFormat;
@@ -306,17 +306,15 @@ fn bucketed_copy_rounds(block: &mut BlockCtx, s: &mut WarpScratch, out_base: u64
     }
 }
 
-/// One lane's copy of one match into the staged output, byte by byte.
+/// One lane's copy of one match into the staged output, byte by byte:
+/// one run of interleaved byte reads and writes.
 fn copy_match(t: &mut ThreadCtx, token: Token, offset: usize, out_base: u64) {
     if let Token::Match { distance, length } = token {
         let dst = out_base + offset as u64;
         let src = dst - u64::from(distance);
         let length = u64::from(length);
         t.charge_ops(WARP_MATCH_SETUP_OPS + length * WARP_COPY_OPS);
-        for k in 0..length {
-            t.shared_read(src + k, 1);
-            t.shared_write(dst + k, 1);
-        }
+        t.shared_run(SharedRun::copy(src, dst, length, 1));
     }
 }
 
@@ -400,20 +398,12 @@ impl WarpDecompressKernel<'_> {
         // Pass 1a (serial, tid 0): flag-byte walk. Group g's byte offset
         // is the running sum of `1 + tokens + matches` over groups before
         // it — the only part of the format that is a true dependent
-        // chain, and it touches one byte per 8 tokens. Its stores are
-        // 2-byte values at even addresses from a lone lane, so unless the
-        // sanitizer needs to see them they are priced in closed form.
-        let sanitized = block.sanitized();
+        // chain, and it touches one byte per 8 tokens. Its stores are one
+        // lone lane's run of 2-byte values.
         block.single_thread(|t| {
             t.charge_ops(groups as u64 * WARP_GROUP_SCAN_OPS);
             t.global_cached_bulk(groups as u64);
-            if sanitized {
-                for g in 0..groups {
-                    t.shared_write(goff_base + 2 * g as u64, 2);
-                }
-            } else {
-                t.shared_lone_lane_bulk(groups as u64);
-            }
+            t.shared_run(SharedRun::writes(goff_base, groups as u64, 2, 2));
         });
 
         // Passes 1b and 1c log accesses that follow from `groups` and the
@@ -492,7 +482,8 @@ impl WarpDecompressKernel<'_> {
         // Pass 1d (parallel over groups): fold the exclusive group base
         // (inclusive sum of the *previous* group) into per-token offsets.
         // The intra-group coverages are still register-resident from 1b
-        // (same lane ↔ same groups), so only the base is re-read.
+        // (same lane ↔ same groups), so only the base is re-read. A
+        // group's offsets are one run of 2-byte stores.
         block.par_threads(|t| {
             let mut ops = 0u64;
             for g in (t.tid..groups).step_by(block_dim) {
@@ -500,11 +491,9 @@ impl WarpDecompressKernel<'_> {
                     t.shared_read(src + 2 * (g - 1) as u64, 2);
                 }
                 let lo = g * 8;
-                let hi = (lo + 8).min(n_tokens);
-                for i in lo..hi {
-                    ops += WARP_TOKEN_OFFSET_OPS;
-                    t.shared_write(offs_base + 2 * i as u64, 2);
-                }
+                let stores = ((lo + 8).min(n_tokens) - lo) as u64;
+                ops += stores * WARP_TOKEN_OFFSET_OPS;
+                t.shared_run(SharedRun::writes(offs_base + 2 * lo as u64, stores, 2, 2));
             }
             if ops > 0 {
                 t.charge_ops(ops);
@@ -601,7 +590,7 @@ pub fn run_with_engine(
 mod tests {
     use super::*;
     use crate::params::CulzssParams;
-    use culzss_gpusim::{DeviceSpec, GpuSim};
+    use culzss_gpusim::{BlockMetrics, DeviceSpec, GpuSim};
 
     fn sim() -> GpuSim {
         GpuSim::new(DeviceSpec::gtx480()).with_workers(4)
@@ -817,28 +806,58 @@ mod tests {
         }
     }
 
-    /// Runs the warp decoder and the rescanning oracle under the
-    /// sanitizer and asserts they are indistinguishable: outputs (typed
-    /// errors included), per-block metrics and sanitizer reports.
+    /// Runs the warp decoder and the rescanning oracle, armed and
+    /// unarmed, and asserts they are indistinguishable: outputs (typed
+    /// errors included), per-block metrics, bit for bit, and sanitizer
+    /// reports. The oracle logs every copied byte, so unarmed it checks
+    /// the decoder's copy runs priced as records.
     fn assert_rounds_match_the_rescan_oracle(
         what: &str,
         payload: &[u8],
         layout: &[(std::ops::Range<usize>, usize)],
         config: &LzssConfig,
     ) {
-        let sim = sim().with_sanitizer();
         let kernel = || WarpDecompressKernel { payload, layout, config: config.clone() };
         let cfg = warp_launch_config(layout, 128);
-        let bucketed = sim.launch(cfg, &kernel()).unwrap();
-        let rescan = sim.launch(cfg, &RescanKernel(kernel())).unwrap();
-        assert_eq!(bucketed.outputs, rescan.outputs, "{what}: outputs");
-        assert_eq!(bucketed.stats.per_block, rescan.stats.per_block, "{what}: per-block metrics");
-        assert_eq!(bucketed.stats.sanitizer, rescan.stats.sanitizer, "{what}: sanitizer reports");
-        // The scratch is reused across launches too: a second launch on
-        // warm tables must observe the same.
-        let again = sim.launch(cfg, &kernel()).unwrap();
-        assert_eq!(again.outputs, rescan.outputs, "{what}: outputs on warm scratch");
-        assert_eq!(again.stats.per_block, rescan.stats.per_block, "{what}: warm metrics");
+        for (armed, sim) in [("armed", sim().with_sanitizer()), ("unarmed", sim())] {
+            let bucketed = sim.launch(cfg, &kernel()).unwrap();
+            let rescan = sim.launch(cfg, &RescanKernel(kernel())).unwrap();
+            assert_eq!(bucketed.outputs, rescan.outputs, "{what}, {armed}: outputs");
+            assert_same_bits(what, armed, &bucketed.stats.per_block, &rescan.stats.per_block);
+            assert_eq!(
+                bucketed.stats.sanitizer, rescan.stats.sanitizer,
+                "{what}, {armed}: sanitizer reports"
+            );
+            // The scratch is reused across launches too: a second launch
+            // on warm tables must observe the same.
+            let again = sim.launch(cfg, &kernel()).unwrap();
+            assert_eq!(again.outputs, rescan.outputs, "{what}, {armed}: outputs on warm scratch");
+            assert_same_bits(what, armed, &again.stats.per_block, &rescan.stats.per_block);
+        }
+    }
+
+    /// Asserts two launches' per-block metrics agree field by field,
+    /// floats by their bits.
+    fn assert_same_bits(what: &str, armed: &str, a: &[BlockMetrics], b: &[BlockMetrics]) {
+        let bits = |m: &BlockMetrics| {
+            [
+                m.warp_issue_ops.to_bits(),
+                m.thread_ops,
+                m.global_transactions.to_bits(),
+                m.global_bytes,
+                m.shared_cycles.to_bits(),
+                m.shared_accesses,
+                m.cached_accesses,
+                m.barriers,
+                m.blocks,
+                m.shared_mem_used as u64,
+                m.block_dim as u64,
+            ]
+        };
+        assert_eq!(a.len(), b.len(), "{what}, {armed}: block count");
+        for (block, (a, b)) in a.iter().zip(b).enumerate() {
+            assert_eq!(bits(a), bits(b), "{what}, {armed}: block {block}\n{a:?}\n{b:?}");
+        }
     }
 
     #[test]

@@ -161,11 +161,16 @@ impl BankCounts {
         }
     }
 
+    /// The number of banks counted.
+    pub(crate) fn banks(&self) -> usize {
+        self.words.len()
+    }
+
     /// Serialized cycles of an instruction with one active lane: a single
     /// span of `n` words covers every bank `n / banks` times, plus once
     /// more for a partial remainder, so no bank needs counting.
     #[inline]
-    fn access_cycles(&self, access: Access) -> u64 {
+    pub(crate) fn access_cycles(&self, access: Access) -> u64 {
         let banks = self.words.len() as u64;
         match access.span(4) {
             None => 0,

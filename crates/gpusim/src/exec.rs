@@ -22,7 +22,7 @@ use parking_lot::Mutex;
 use crate::cost::{cost_launch, KernelCost};
 use crate::device::DeviceSpec;
 use crate::fault::{DeviceFaultModel, FaultKind, LaunchDisposition};
-use crate::meter::{BlockMeter, BlockMetrics, MemoryMode};
+use crate::meter::{BlockMeter, BlockMetrics, MemoryMode, SharedRun};
 use crate::replay::{PhaseDelta, PhaseShape, ReplayMemo, ReplayStats};
 use crate::sanitizer::{AccessKind, BlockSanitizerReport, SanitizerReport};
 
@@ -304,6 +304,22 @@ impl ThreadCtx<'_> {
         self.meter.log_shared(self.tid, AccessKind::Write, addr, bytes);
     }
 
+    /// Logs a run of shared accesses as one record. It is priced exactly
+    /// as its accesses logged one by one would be, in its place among
+    /// this thread's other shared accesses. An armed launch logs each of
+    /// its accesses, so the sanitizer sees every one.
+    #[inline]
+    pub fn shared_run(&mut self, run: SharedRun) {
+        if self.meter.sanitized() {
+            for j in 0..run.accesses() {
+                let (kind, access) = run.nth(j);
+                self.meter.log_shared(self.tid, kind, access.addr, access.bytes);
+            }
+        } else {
+            self.meter.log_shared_run(self.tid, run);
+        }
+    }
+
     /// Models a CUDA early `return`: this thread runs to the end of the
     /// current phase closure and then skips every later phase. Reaching a
     /// subsequent barrier with a mix of live and exited threads is barrier
@@ -319,16 +335,6 @@ impl ThreadCtx<'_> {
     #[inline]
     pub fn shared_bulk(&mut self, accesses: u64, conflict_ways: u64) {
         self.meter.shared_bulk(self.tid, accesses, conflict_ways);
-    }
-
-    /// Bulk accounting for `accesses` shared accesses when this thread is
-    /// the only lane of its warp touching shared memory in the phase and
-    /// each access stays inside one 4-byte word: each is then a warp
-    /// instruction of its own and costs one bank cycle, as the exact path
-    /// prices it.
-    #[inline]
-    pub fn shared_lone_lane_bulk(&mut self, accesses: u64) {
-        self.meter.shared_lone_lane_bulk(self.tid, accesses);
     }
 
     /// Bulk global-memory accounting: this thread moved `bytes` bytes in
@@ -1021,15 +1027,15 @@ mod tests {
     }
 
     #[test]
-    fn a_lone_lane_bulk_prices_like_its_exact_accesses() {
+    fn a_lone_lane_run_prices_like_its_exact_accesses() {
         struct Lone(bool);
         impl BlockKernel for Lone {
             type Output = ();
             fn run_block(&self, block: &mut BlockCtx) {
-                let bulk = self.0;
+                let run = self.0;
                 block.single_thread(|t| {
-                    if bulk {
-                        t.shared_lone_lane_bulk(37);
+                    if run {
+                        t.shared_run(SharedRun::writes(6, 37, 2, 2));
                     } else {
                         for g in 0..37 {
                             t.shared_write(6 + 2 * g, 2);
@@ -1041,8 +1047,11 @@ mod tests {
         let sim = GpuSim::new(DeviceSpec::gtx480());
         let cfg = LaunchConfig::new(2, 64);
         let exact = sim.launch(cfg, &Lone(false)).unwrap().stats;
-        let bulk = sim.launch(cfg, &Lone(true)).unwrap().stats;
-        assert_eq!(bulk.per_block, exact.per_block);
+        let run = sim.launch(cfg, &Lone(true)).unwrap().stats;
+        assert_eq!(run.per_block, exact.per_block);
+        let armed = sim.with_sanitizer().launch(cfg, &Lone(true)).unwrap().stats;
+        assert_eq!(armed.per_block, exact.per_block);
+        assert_eq!(armed.sanitizer.unwrap().checked_accesses, 2 * 37);
     }
 
     #[test]

@@ -94,6 +94,6 @@ pub mod transfer;
 pub use device::DeviceSpec;
 pub use exec::{BlockCtx, BlockKernel, GpuSim, LaunchConfig, LaunchResult, ThreadCtx};
 pub use fault::{DeviceFaultConfig, DeviceFaultModel, FaultKind};
-pub use meter::BlockMetrics;
+pub use meter::{BlockMetrics, SharedRun};
 pub use replay::{PhaseShape, ReplayStats};
 pub use sanitizer::SanitizerReport;

@@ -7,12 +7,20 @@
 //! [`crate::coalesce`]. The result is a [`BlockMetrics`] that the cost
 //! model converts to cycles.
 //!
-//! Four accounting paths exist:
+//! Five accounting paths exist:
 //!
 //! * **exact** — `global_read`/`shared_read` log individual accesses; at
 //!   the barrier, the k-th access of each thread in a warp is treated as
 //!   one warp-wide memory instruction (the standard lockstep
 //!   approximation) and analyzed for coalescing/conflicts.
+//! * **run** — `shared_run` logs a lane's run of strided shared accesses
+//!   (or a copy's two interleaved streams) as one [`SharedRun`] record,
+//!   in its place among the lane's single accesses. The barrier prices
+//!   it exactly as the accesses it stands for, under the same grouping,
+//!   from the run's arithmetic: a lone lane's run in closed form, and a
+//!   stretch of instructions in which every lane sits in a run of one
+//!   stride from one period of word patterns. An armed launch logs each
+//!   access instead, so the sanitizer sees every one.
 //! * **bulk** — hot inner loops declare their aggregate pattern
 //!   (`charge_ops`, `shared_bulk`, `global_bulk`); the same formulas are
 //!   applied in closed form. This keeps simulation time proportional to
@@ -38,7 +46,9 @@
 //! of a warp still holds accesses (a lone copy loop, say) each remaining
 //! instruction is that one access, priced directly without a gather. A
 //! phase that pushed no access into a log (a memory-replay hit, or one
-//! that only charged ops and bulk) skips the log walk altogether. Shared
+//! that only charged ops and bulk) skips the log walk altogether, and a
+//! phase that logged only shared accesses skips the global logs (and the
+//! other way round). Shared
 //! instructions whose lanes each touch one or two words have their bank
 //! conflicts counted without a sort ([`crate::coalesce::BankCounts`]).
 
@@ -101,6 +111,98 @@ impl BlockMetrics {
     }
 }
 
+/// A lane's run of shared accesses, logged as one record
+/// ([`crate::exec::ThreadCtx::shared_run`]): `count` accesses of `width`
+/// bytes, `stride` bytes apart, from the first stream's base, or for a
+/// copy two such streams interleaved, the `k`-th access of the second
+/// following the `k`-th of the first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SharedRun {
+    /// Accesses per stream.
+    count: u64,
+    /// Bytes from one access of a stream to its next.
+    stride: u64,
+    /// Bytes per access.
+    width: u32,
+    /// The first stream's base address and direction.
+    first: (u64, AccessKind),
+    /// The second stream's base address and direction, if any.
+    second: Option<(u64, AccessKind)>,
+}
+
+impl SharedRun {
+    /// `count` writes of `width` bytes, `stride` bytes apart, from `base`.
+    pub fn writes(base: u64, count: u64, stride: u64, width: u32) -> Self {
+        Self { count, stride, width, first: (base, AccessKind::Write), second: None }
+    }
+
+    /// A copy of `count` elements of `width` bytes from `src` to `dst`,
+    /// logged as an element loop logs it: read element `k`, write it,
+    /// then element `k + 1`.
+    pub fn copy(src: u64, dst: u64, count: u64, width: u32) -> Self {
+        Self {
+            count,
+            stride: u64::from(width),
+            width,
+            first: (src, AccessKind::Read),
+            second: Some((dst, AccessKind::Write)),
+        }
+    }
+
+    fn streams(&self) -> u64 {
+        1 + u64::from(self.second.is_some())
+    }
+
+    /// Accesses in the run, over both streams.
+    pub(crate) fn accesses(&self) -> u64 {
+        self.count * self.streams()
+    }
+
+    /// The run's `j`-th access, in the order the loop it stands for logs
+    /// them.
+    #[inline]
+    pub(crate) fn nth(&self, j: u64) -> (AccessKind, Access) {
+        let ((base, kind), k) = match self.second {
+            Some(second) if j % 2 == 1 => (second, j / 2),
+            Some(_) => (self.first, j / 2),
+            None => (self.first, j),
+        };
+        (kind, Access { addr: base + k * self.stride, bytes: self.width })
+    }
+
+    /// Instructions after which every access of a run with this stride
+    /// and stream count has moved by a whole number of words. Runs that
+    /// share both move together, so their lanes' word pattern repeats,
+    /// shifted by a constant number of banks, which keeps each bank's
+    /// count of distinct words.
+    fn period(&self) -> u64 {
+        let per_stream = match self.stride % 4 {
+            0 => 1,
+            2 => 2,
+            _ => 4,
+        };
+        self.streams() * per_stream
+    }
+}
+
+/// A run in a lane's log: `after` single accesses of the lane come
+/// before it.
+#[derive(Debug, Clone, Copy)]
+struct LoggedRun {
+    after: usize,
+    run: SharedRun,
+}
+
+/// Which logs a phase pushed into since the last barrier; a log whose
+/// flag is down is empty in every lane.
+#[derive(Debug, Clone, Copy, Default)]
+struct Logged {
+    global: bool,
+    /// Single shared accesses or runs.
+    shared: bool,
+    runs: bool,
+}
+
 /// Where a phase run's logged accesses are priced (see
 /// [`crate::replay`]).
 #[derive(Debug)]
@@ -127,6 +229,11 @@ pub struct BlockMeter {
     phase_global: Vec<Vec<Access>>,
     /// Per-thread logged shared accesses for the current phase.
     phase_shared: Vec<Vec<Access>>,
+    /// Per-thread logged shared runs for the current phase, each placed
+    /// among the thread's single shared accesses. Empty until the meter
+    /// logs its first run, so a kernel that logs none allocates nothing
+    /// for them.
+    phase_runs: Vec<Vec<LoggedRun>>,
     metrics: BlockMetrics,
     transaction_bytes: u64,
     /// Scratch for assembling warp instructions at a barrier.
@@ -138,9 +245,8 @@ pub struct BlockMeter {
     sanitizer: Option<Box<SanitizerState>>,
     /// Where logged accesses are priced; never `Replayed` while armed.
     memory: MemoryMode,
-    /// True once an access was pushed into a log since the last barrier;
-    /// while false every log is empty.
-    logged: bool,
+    /// The logs pushed into since the last barrier.
+    logged: Logged,
 }
 
 impl BlockMeter {
@@ -157,13 +263,14 @@ impl BlockMeter {
             phase_ops: vec![0; block_dim],
             phase_global: vec![Vec::new(); block_dim],
             phase_shared: vec![Vec::new(); block_dim],
+            phase_runs: Vec::new(),
             metrics: Self::fresh_metrics(block_dim),
             transaction_bytes: transaction_bytes as u64,
             scratch: InstructionScratch::default(),
             bank_counts: BankCounts::new(shared_banks),
             sanitizer: None,
             memory: MemoryMode::Exact,
-            logged: false,
+            logged: Logged::default(),
         }
     }
 
@@ -198,7 +305,7 @@ impl BlockMeter {
         };
         sums.global_bytes += u64::from(bytes);
         self.phase_global[tid].push(Access { addr, bytes });
-        self.logged = true;
+        self.logged.global = true;
         // A memory instruction is still an issued instruction.
         self.charge_ops(tid, 1);
     }
@@ -215,11 +322,36 @@ impl BlockMeter {
         };
         sums.shared_accesses += 1;
         self.phase_shared[tid].push(Access { addr, bytes });
-        self.logged = true;
+        self.logged.shared = true;
         if let Some(san) = &mut self.sanitizer {
             san.log(tid, kind, addr, bytes);
         }
         self.charge_ops(tid, 1);
+    }
+
+    /// Logs a run of shared accesses for thread `tid` as one record,
+    /// after the thread's shared accesses logged so far. Never called on
+    /// an armed block, which logs each access of the run instead.
+    #[inline]
+    pub(crate) fn log_shared_run(&mut self, tid: usize, run: SharedRun) {
+        debug_assert!(self.sanitizer.is_none(), "an armed block logs every access");
+        let accesses = run.accesses();
+        if accesses == 0 {
+            return;
+        }
+        let sums = match &mut self.memory {
+            MemoryMode::Exact => &mut self.metrics,
+            MemoryMode::Recorded(sums) => sums,
+            MemoryMode::Replayed => return self.charge_ops(tid, accesses),
+        };
+        sums.shared_accesses += accesses;
+        if self.phase_runs.is_empty() {
+            self.phase_runs.resize(self.block_dim, Vec::new());
+        }
+        self.phase_runs[tid].push(LoggedRun { after: self.phase_shared[tid].len(), run });
+        self.logged.shared = true;
+        self.logged.runs = true;
+        self.charge_ops(tid, accesses);
     }
 
     /// Sets where the following logged accesses are priced, returning
@@ -243,15 +375,6 @@ impl BlockMeter {
         self.metrics.shared_cycles +=
             accesses as f64 * conflict_ways as f64 / self.warp_size as f64;
         self.charge_ops(tid, accesses);
-    }
-
-    /// Bulk accounting for `accesses` shared accesses of thread `tid`,
-    /// the only lane of its warp with shared accesses in this phase, each
-    /// inside one 4-byte word. The exact path prices each such access as
-    /// an instruction of its own, one bank cycle.
-    #[inline]
-    pub(crate) fn shared_lone_lane_bulk(&mut self, tid: usize, accesses: u64) {
-        self.shared_bulk(tid, accesses, self.warp_size as u64);
     }
 
     /// Bulk global-memory accounting: thread `tid` moved `bytes` bytes in
@@ -324,21 +447,34 @@ impl BlockMeter {
                 continue;
             }
             ops.fill(0);
-            if !logged {
-                continue;
-            }
 
             // Coalescing: the k-th logged access of each lane forms one
             // warp-wide memory instruction.
-            let global = &mut self.phase_global[lanes.clone()];
-            self.scratch.for_each(global, |instruction| {
-                transactions += transactions_for_warp(instruction, segment_bytes) as f64;
-            });
-            global.iter_mut().for_each(Vec::clear);
-            let shared = &mut self.phase_shared[lanes];
-            self.scratch.for_each(shared, |instruction| {
-                cycles += shared_conflict_cycles(instruction, &mut self.bank_counts) as f64;
-            });
+            if logged.global {
+                let global = &mut self.phase_global[lanes.clone()];
+                self.scratch.for_each(global, |instruction| {
+                    transactions += transactions_for_warp(instruction, segment_bytes) as f64;
+                });
+                global.iter_mut().for_each(Vec::clear);
+            }
+            if !logged.shared {
+                continue;
+            }
+            let shared = &mut self.phase_shared[lanes.clone()];
+            match self.phase_runs.get_mut(lanes) {
+                Some(runs) if logged.runs && runs.iter().any(|lane| !lane.is_empty()) => {
+                    // Every term is a whole number of cycles, so one sum
+                    // per warp adds up to the same bits as one per
+                    // instruction.
+                    cycles +=
+                        self.scratch.shared_cycles_with_runs(shared, runs, &mut self.bank_counts)
+                            as f64;
+                    runs.iter_mut().for_each(Vec::clear);
+                }
+                _ => self.scratch.for_each(shared, |instruction| {
+                    cycles += shared_conflict_cycles(instruction, &mut self.bank_counts) as f64;
+                }),
+            }
             shared.iter_mut().for_each(Vec::clear);
         }
         let sums = self.priced_into();
@@ -390,12 +526,13 @@ impl BlockMeter {
     /// Accesses logged since the last barrier, over all lanes.
     #[cfg(test)]
     pub(crate) fn logged_accesses(&self) -> usize {
-        self.phase_global.iter().chain(&self.phase_shared).map(Vec::len).sum()
+        let runs = self.phase_runs.iter().flatten().map(|r| r.run.accesses() as usize);
+        self.phase_global.iter().chain(&self.phase_shared).map(Vec::len).chain(runs).sum()
     }
 
     /// True when no access or op is waiting for a barrier.
     pub(crate) fn at_barrier(&self) -> bool {
-        !self.logged && self.phase_ops.iter().all(|&o| o == 0)
+        !(self.logged.global || self.logged.shared) && self.phase_ops.iter().all(|&o| o == 0)
     }
 }
 
@@ -404,8 +541,60 @@ impl BlockMeter {
 struct InstructionScratch {
     /// Lanes of the warp with accesses left to price.
     lanes: Vec<usize>,
+    /// Lanes with shared accesses left to price, and where, when some
+    /// lane of the warp logged a run.
+    cursors: Vec<Cursor>,
     /// The instruction being priced.
     accesses: Vec<Access>,
+}
+
+/// A lane's place in its shared log while a warp with runs is priced:
+/// its next single access, its next run, and the accesses of that run
+/// priced so far.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    lane: usize,
+    single: usize,
+    run: usize,
+    done: u64,
+}
+
+impl Cursor {
+    /// The run the lane's next access comes from, if it comes from one.
+    #[inline]
+    fn current(&self, runs: &[LoggedRun]) -> Option<SharedRun> {
+        runs.get(self.run).filter(|logged| logged.after == self.single).map(|logged| logged.run)
+    }
+
+    /// Takes the lane's next access; its log must hold one.
+    #[inline]
+    fn take(&mut self, singles: &[Access], runs: &[LoggedRun]) -> Access {
+        match self.current(runs) {
+            Some(run) => {
+                let access = run.nth(self.done).1;
+                self.skip(&run, 1);
+                access
+            }
+            None => {
+                self.single += 1;
+                singles[self.single - 1]
+            }
+        }
+    }
+
+    /// Moves `n` accesses on within the current `run`.
+    #[inline]
+    fn skip(&mut self, run: &SharedRun, n: u64) {
+        self.done += n;
+        if self.done == run.accesses() {
+            self.run += 1;
+            self.done = 0;
+        }
+    }
+
+    fn spent(&self, singles: &[Access], runs: &[LoggedRun]) -> bool {
+        self.single == singles.len() && self.run == runs.len()
+    }
 }
 
 impl InstructionScratch {
@@ -433,11 +622,114 @@ impl InstructionScratch {
             }
         }
     }
+
+    /// The serialized bank cycles of one warp's shared logs when lanes
+    /// hold runs: the sum [`Self::for_each`] would price if every run
+    /// were logged access by access, without expanding any. Instructions
+    /// group as there (a lane's `k`-th access, whether single or from a
+    /// run, joins the warp's `k`-th instruction). Where every lane still
+    /// to price sits in a run, the stretch up to the first run's end is
+    /// priced at once ([`Self::run_stretch`]); a lone lane's runs are
+    /// priced in closed form ([`lone_run_cycles`]).
+    fn shared_cycles_with_runs(
+        &mut self,
+        singles: &[Vec<Access>],
+        runs: &[Vec<LoggedRun>],
+        counts: &mut BankCounts,
+    ) -> u64 {
+        self.cursors.clear();
+        self.cursors.extend(
+            (0..singles.len())
+                .filter(|&lane| !singles[lane].is_empty() || !runs[lane].is_empty())
+                .map(|lane| Cursor { lane, single: 0, run: 0, done: 0 }),
+        );
+        let mut cycles = 0;
+        while self.cursors.len() > 1 {
+            cycles += match self.run_stretch(runs, counts) {
+                Some(stretch) => stretch,
+                None => {
+                    self.accesses.clear();
+                    for c in &mut self.cursors {
+                        self.accesses.push(c.take(&singles[c.lane], &runs[c.lane]));
+                    }
+                    shared_conflict_cycles(&mut self.accesses, counts)
+                }
+            };
+            self.cursors.retain(|c| !c.spent(&singles[c.lane], &runs[c.lane]));
+        }
+        if let [mut c] = self.cursors[..] {
+            let (singles, runs) = (&singles[c.lane], &runs[c.lane]);
+            loop {
+                if let Some(run) = c.current(runs) {
+                    cycles += lone_run_cycles(&run, c.done, counts);
+                    c.run += 1;
+                    c.done = 0;
+                } else if let Some(&access) = singles.get(c.single) {
+                    cycles += shared_conflict_cycles(&mut [access], counts);
+                    c.single += 1;
+                } else {
+                    break;
+                }
+            }
+        }
+        cycles
+    }
+
+    /// Prices the next `m` instructions when every lane's next access
+    /// comes from a run, `m` being the fewest accesses any of those runs
+    /// has left, and moves every lane past them; `None`, pricing nothing,
+    /// when some lane's next access is a single one. When all the runs
+    /// share a stride and a stream count, instruction `t + period` is
+    /// instruction `t` shifted by whole words ([`SharedRun::period`]), so
+    /// only the first period is gathered and each of its instructions
+    /// counts once per repeat.
+    fn run_stretch(&mut self, runs: &[Vec<LoggedRun>], counts: &mut BankCounts) -> Option<u64> {
+        let first = self.cursors[0].current(&runs[self.cursors[0].lane])?;
+        let mut left = u64::MAX;
+        let mut uniform = true;
+        for c in &self.cursors {
+            let run = c.current(&runs[c.lane])?;
+            left = left.min(run.accesses() - c.done);
+            uniform &= (run.stride, run.streams()) == (first.stride, first.streams());
+        }
+        let period = if uniform { first.period().min(left) } else { left };
+        let mut cycles = 0;
+        for t in 0..period {
+            self.accesses.clear();
+            self.accesses.extend(self.cursors.iter().map(|c| {
+                let run = runs[c.lane][c.run].run;
+                run.nth(c.done + t).1
+            }));
+            let repeats = (left - t).div_ceil(period);
+            cycles += shared_conflict_cycles(&mut self.accesses, counts) * repeats;
+        }
+        for c in &mut self.cursors {
+            let run = runs[c.lane][c.run].run;
+            c.skip(&run, left);
+        }
+        Some(cycles)
+    }
+}
+
+/// Serialized cycles of a lone lane's `run` from its `from`-th access
+/// on, each access an instruction of its own: one bank cycle per access
+/// whenever no access can span more words than there are banks (a
+/// `width`-byte access spans at most `(width + 2) / 4 + 1` words).
+fn lone_run_cycles(run: &SharedRun, from: u64, counts: &BankCounts) -> u64 {
+    if run.width == 0 {
+        0
+    } else if (run.width as usize + 2) / 4 < counts.banks() {
+        run.accesses() - from
+    } else {
+        (from..run.accesses()).map(|j| counts.access_cycles(run.nth(j).1)).sum()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn meter() -> BlockMeter {
         BlockMeter::new(64, 32, 128, 32)
@@ -590,9 +882,6 @@ mod tests {
 
     #[test]
     fn single_lane_tail_prices_like_the_gathered_path() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-
         let mut rng = SmallRng::seed_from_u64(0x7a11_1a4e);
         for banks in [16usize, 32] {
             for case in 0..50 {
@@ -663,7 +952,7 @@ mod tests {
         let mut m = meter();
         m.set_memory(MemoryMode::Replayed);
         log_in_last_warp(&mut m);
-        assert!(!m.logged, "a replayed access reached a log");
+        assert!(!m.logged.global && !m.logged.shared, "a replayed access reached a log");
         assert_eq!(m.logged_accesses(), 0);
         assert!(!m.at_barrier(), "the accesses' issue ops wait for the barrier");
         m.end_phase();
@@ -717,6 +1006,235 @@ mod tests {
         assert_eq!(flushed.shared_cycles, 2.0 * exact.shared_cycles);
         assert_eq!(flushed.warp_issue_ops, 3.0 * exact.warp_issue_ops);
         assert_eq!(flushed.barriers, 3);
+    }
+
+    #[test]
+    fn shared_only_and_global_only_phases_price_like_a_mixed_one() {
+        let mut exact = meter();
+        log_in_last_warp(&mut exact);
+        exact.end_phase();
+        let exact = exact.finish();
+
+        // The same accesses split over two phases, shared first, in each
+        // of the modes that log: each phase's barrier walks only the logs
+        // its flag marks, and prices them as the mixed phase did.
+        for recorded in [false, true] {
+            let mut m = meter();
+            if recorded {
+                m.set_memory(MemoryMode::Recorded(BlockMetrics::default()));
+            }
+            for t in 32..64 {
+                m.log_shared(t, AccessKind::Read, (t * 64) as u64, 1);
+            }
+            assert!(m.logged.shared && !m.logged.global);
+            assert!(!m.at_barrier());
+            m.end_phase();
+            assert!(m.at_barrier());
+            for t in 32..64 {
+                m.log_global(t, (t * 4096) as u64, 4);
+            }
+            assert!(m.logged.global && !m.logged.shared);
+            assert!(!m.at_barrier());
+            m.end_phase();
+            assert!(m.at_barrier());
+            let sums = match m.set_memory(MemoryMode::Exact) {
+                MemoryMode::Recorded(sums) => sums,
+                _ => m.metrics().clone(),
+            };
+            assert_eq!(sums.shared_cycles, exact.shared_cycles, "recorded: {recorded}");
+            assert_eq!(sums.shared_accesses, exact.shared_accesses);
+            assert_eq!(sums.global_transactions, exact.global_transactions);
+            assert_eq!(sums.global_bytes, exact.global_bytes);
+            assert_eq!(m.finish().barriers, 2);
+        }
+    }
+
+    /// One entry of a lane's log in a random phase.
+    #[derive(Debug, Clone, Copy)]
+    enum Entry {
+        Shared(AccessKind, Access),
+        Global(Access),
+        Run(SharedRun),
+    }
+
+    /// Every field of a metric set, floats by their bits.
+    fn bits(m: &BlockMetrics) -> [u64; 11] {
+        [
+            m.warp_issue_ops.to_bits(),
+            m.thread_ops,
+            m.global_transactions.to_bits(),
+            m.global_bytes,
+            m.shared_cycles.to_bits(),
+            m.shared_accesses,
+            m.cached_accesses,
+            m.barriers,
+            m.blocks,
+            m.shared_mem_used as u64,
+            m.block_dim as u64,
+        ]
+    }
+
+    /// A random run: bytes, `u16`s and words at strides 1, 2 and 4, odd
+    /// bases (a `u16` at 3 mod 4 straddles two words), one or two
+    /// streams, and lengths from empty to long. A `far` run starts in one
+    /// of four 20 000-byte bands, so an instruction's words can lie more
+    /// than 4 096 words apart.
+    fn random_run(rng: &mut SmallRng, far: bool, kind: Option<(u64, u32)>) -> SharedRun {
+        let mut base = || {
+            let band = if far { rng.gen_range(0u64..4) * 20_000 } else { 0 };
+            band + rng.gen_range(0u64..15 << 10)
+        };
+        let (first, second) = (base(), base());
+        let (stride, streams) = kind
+            .unwrap_or_else(|| ([1u64, 2, 4][rng.gen_range(0usize..3)], rng.gen_range(1u32..3)));
+        let width = [1u32, 2, 4][rng.gen_range(0usize..3)];
+        let count = rng.gen_range(0u64..40);
+        let kind = [AccessKind::Read, AccessKind::Write][rng.gen_range(0usize..2)];
+        SharedRun {
+            first: (first, kind),
+            second: (streams == 2).then_some((second, AccessKind::Write)),
+            ..SharedRun::writes(first, count, stride, width)
+        }
+    }
+
+    /// A random phase of a `block_dim`-lane block: one lone lane, or 2–32
+    /// lane draws from one warp or from the whole block, each logging a few runs
+    /// of unequal lengths between single shared and global accesses. In a
+    /// `uniform` phase every run shares one stride and stream count, as
+    /// in the warp decoder's copy rounds and pass 1d.
+    fn random_phase(rng: &mut SmallRng, block_dim: usize) -> Vec<Vec<Entry>> {
+        let live = match rng.gen_range(0u32..4) {
+            0 => 1,
+            1 => 32,
+            _ => rng.gen_range(2usize..=32),
+        };
+        let far = rng.gen_range(0u32..4) == 0;
+        let uniform = (rng.gen_range(0u32..2) == 0)
+            .then(|| ([1u64, 2, 4][rng.gen_range(0usize..3)], rng.gen_range(1u32..3)));
+        // Half the phases draw their lanes from one warp.
+        let (low, span) = match rng.gen_range(0u32..2) {
+            0 => (0, block_dim),
+            _ => (rng.gen_range(0..block_dim / 32) * 32, 32),
+        };
+        let mut logs = vec![Vec::new(); block_dim];
+        for _ in 0..live {
+            let lane = low + rng.gen_range(0..span);
+            for _ in 0..rng.gen_range(1u32..5) {
+                let addr = rng.gen_range(0u64..15 << 10);
+                let entry = match rng.gen_range(0u32..8) {
+                    0 => Entry::Shared(AccessKind::Read, Access { addr, bytes: 1 }),
+                    1 => Entry::Shared(
+                        AccessKind::Write,
+                        Access { addr, bytes: [0u32, 2, 4, 6][rng.gen_range(0usize..4)] },
+                    ),
+                    2 => Entry::Global(Access { addr, bytes: 4 }),
+                    _ => Entry::Run(random_run(rng, far, uniform)),
+                };
+                logs[lane].push(entry);
+            }
+        }
+        logs
+    }
+
+    /// Meters `phases` in one block, every phase in `mode` (0 exact, 1
+    /// recorded, 2 replayed), logging each run as one record or, with
+    /// `expand`, access by access. Returns the block's metrics and the
+    /// recorded side sums.
+    fn meter_phases(
+        phases: &[Vec<Vec<Entry>>],
+        banks: usize,
+        mode: u32,
+        expand: bool,
+    ) -> (BlockMetrics, BlockMetrics) {
+        let mut m = BlockMeter::new(phases[0].len(), 32, 128, banks);
+        let mut recorded = BlockMetrics::default();
+        for (p, phase) in phases.iter().enumerate() {
+            m.set_memory(match mode {
+                0 => MemoryMode::Exact,
+                1 => MemoryMode::Recorded(BlockMetrics::default()),
+                _ => MemoryMode::Replayed,
+            });
+            for (lane, log) in phase.iter().enumerate() {
+                for &entry in log {
+                    match entry {
+                        Entry::Shared(kind, a) => m.log_shared(lane, kind, a.addr, a.bytes),
+                        Entry::Global(a) => m.log_global(lane, a.addr, a.bytes),
+                        Entry::Run(run) if expand => {
+                            for j in 0..run.accesses() {
+                                let (kind, a) = run.nth(j);
+                                m.log_shared(lane, kind, a.addr, a.bytes);
+                            }
+                        }
+                        Entry::Run(run) => m.log_shared_run(lane, run),
+                    }
+                }
+            }
+            // An exact block leaves its last phase to the end-of-block
+            // flush.
+            if mode != 0 || p + 1 < phases.len() {
+                m.end_phase();
+            }
+            if let MemoryMode::Recorded(sums) = m.set_memory(MemoryMode::Exact) {
+                recorded.merge(&sums);
+            }
+        }
+        (m.finish(), recorded)
+    }
+
+    #[test]
+    fn runs_price_like_their_accesses_in_every_memory_mode() {
+        let mut rng = SmallRng::seed_from_u64(0x5eed_2a75);
+        for banks in [16usize, 32] {
+            for case in 0..400 {
+                let block_dim = [32, 64, 96][case % 3];
+                let phases: Vec<_> =
+                    (0..rng.gen_range(1..4)).map(|_| random_phase(&mut rng, block_dim)).collect();
+                for mode in 0..3 {
+                    let (metrics, recorded) = meter_phases(&phases, banks, mode, false);
+                    let (each, each_recorded) = meter_phases(&phases, banks, mode, true);
+                    assert_eq!(
+                        bits(&metrics),
+                        bits(&each),
+                        "case {case}, mode {mode}, {banks} banks:\n{metrics:?}\n{each:?}"
+                    );
+                    assert_eq!(bits(&recorded), bits(&each_recorded), "case {case}, {banks} banks");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn runs_keep_their_place_among_single_accesses() {
+        // Two lanes, each logging a single byte in bank 0, a run, and
+        // another bank-0 byte. The runs differ in length, so where each
+        // run sits decides which accesses share an instruction.
+        let log = |m: &mut BlockMeter, expand: bool| {
+            for (lane, len) in [(0usize, 3u64), (1, 5)] {
+                m.log_shared(lane, AccessKind::Read, 128 * lane as u64, 1);
+                let run = SharedRun::copy(4 + 8 * lane as u64, 64 + 8 * lane as u64, len, 1);
+                if expand {
+                    for j in 0..run.accesses() {
+                        let (kind, a) = run.nth(j);
+                        m.log_shared(lane, kind, a.addr, a.bytes);
+                    }
+                } else {
+                    m.log_shared_run(lane, run);
+                }
+                m.log_shared(lane, AccessKind::Write, 256 * (lane as u64 + 1), 1);
+            }
+            m.end_phase();
+        };
+        let (mut run, mut each) = (meter(), meter());
+        log(&mut run, false);
+        log(&mut each, true);
+        let (run, each) = (run.finish(), each.finish());
+        assert_eq!(bits(&run), bits(&each));
+        // Instruction 0: both lanes' bank-0 bytes, two words (2 cycles).
+        // Then 6 two-lane copy instructions (1 each), lane 0's last byte
+        // alone beside lane 1's copy (1), 3 more of lane 1's copy alone
+        // and its last byte (1 each).
+        assert_eq!(run.shared_cycles, 2.0 + 6.0 + 1.0 + 3.0 + 1.0);
+        assert_eq!(run.shared_accesses, 2 * 2 + 2 * (3 + 5));
     }
 
     #[test]
