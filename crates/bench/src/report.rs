@@ -7,10 +7,10 @@
 //! engines — the cost-model counters exported by
 //! `culzss_gpusim::exec::LaunchStats::counters`.
 //!
-//! The workspace builds offline with no serde, so both the writer and
-//! the parser are hand-rolled here. The parser accepts any
-//! JSON produced by the writer (and ordinary pretty-printed JSON in
-//! general); it is not a general-purpose validator.
+//! The workspace builds offline with no serde. The report lays out its
+//! own pretty-printed JSON and reads it back through the workspace's one
+//! JSON codec, [`culzss_server::json`]: its escaper quotes every string
+//! and its reader parses the whole report before any field is read.
 //!
 //! [`compare`] implements the CI gate. Throughput is compared *per
 //! corpus relative to the serial brute-force cell* of the same report:
@@ -45,6 +45,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use culzss_server::json::{Object, Str, Value};
 
 /// Current schema version; bump when a field is renamed or removed
 /// (adding fields is backwards-compatible and does not bump it).
@@ -153,7 +155,7 @@ impl Report {
         let mut out = String::with_capacity(4096 + self.cells.len() * 512);
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema_version\": {},", self.schema_version);
-        let _ = writeln!(out, "  \"tool\": {},", json_str(&self.tool));
+        let _ = writeln!(out, "  \"tool\": {},", Str(&self.tool));
         let _ = writeln!(out, "  \"bytes\": {},", self.bytes);
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"reps\": {},", self.reps);
@@ -167,8 +169,8 @@ impl Report {
                 out.push(',');
             }
             out.push_str("\n    {\n");
-            let _ = writeln!(out, "      \"engine\": {},", json_str(&cell.engine));
-            let _ = writeln!(out, "      \"corpus\": {},", json_str(&cell.corpus));
+            let _ = writeln!(out, "      \"engine\": {},", Str(&cell.engine));
+            let _ = writeln!(out, "      \"corpus\": {},", Str(&cell.corpus));
             let _ = writeln!(out, "      \"input_bytes\": {},", cell.input_bytes);
             let _ = writeln!(out, "      \"output_bytes\": {},", cell.output_bytes);
             let _ = writeln!(out, "      \"wall_seconds\": {},", json_num(cell.wall_seconds));
@@ -181,7 +183,7 @@ impl Report {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\n        {}: {}", json_str(name), json_num(*value));
+                let _ = write!(out, "\n        {}: {}", Str(name), json_num(*value));
             }
             out.push_str(if cell.counters.is_empty() { "}\n" } else { "\n      }\n" });
             out.push_str("    }");
@@ -193,7 +195,7 @@ impl Report {
 
     /// Parses a report previously written by [`Report::to_json`].
     pub fn from_json(text: &str) -> Result<Report, String> {
-        let value = Json::parse(text)?;
+        let value = Value::parse(text)?;
         let obj = value.as_obj("report")?;
         let schema_version = obj.get_num("schema_version")? as u64;
         if schema_version > SCHEMA_VERSION {
@@ -209,8 +211,8 @@ impl Report {
                 counters.insert(name.clone(), v.as_num(name)?);
             }
             cells.push(Cell {
-                engine: c.get_str("engine")?,
-                corpus: c.get_str("corpus")?,
+                engine: c.get_str("engine")?.to_string(),
+                corpus: c.get_str("corpus")?.to_string(),
                 input_bytes: c.get_num("input_bytes")? as u64,
                 output_bytes: c.get_num("output_bytes")? as u64,
                 wall_seconds: c.get_num("wall_seconds")?,
@@ -227,7 +229,7 @@ impl Report {
         }
         Ok(Report {
             schema_version,
-            tool: obj.get_str("tool")?,
+            tool: obj.get_str("tool")?.to_string(),
             bytes: obj.get_num("bytes")? as u64,
             seed: obj.get_num("seed")? as u64,
             reps: obj.get_num("reps")? as u64,
@@ -250,20 +252,20 @@ impl Report {
 }
 
 fn write_str_arr(out: &mut String, key: &str, items: &[String]) {
-    let _ = write!(out, "  {}: [", json_str(key));
+    let _ = write!(out, "  {}: [", Str(key));
     for (i, item) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\n    {}", json_str(item));
+        let _ = write!(out, "\n    {}", Str(item));
     }
     out.push_str(if items.is_empty() { "],\n" } else { "\n  ],\n" });
 }
 
 /// Parses an optional array-of-strings field; a missing key is an empty
 /// list (fields added after v1 must not break older reports).
-fn opt_str_arr(obj: &JsonObj, key: &str) -> Result<Vec<String>, String> {
-    let Some((_, value)) = obj.fields.iter().find(|(k, _)| k == key) else {
+fn opt_str_arr(obj: &Object, key: &str) -> Result<Vec<String>, String> {
+    let Some(value) = obj.field(key) else {
         return Ok(Vec::new());
     };
     let mut out = Vec::new();
@@ -273,26 +275,6 @@ fn opt_str_arr(obj: &JsonObj, key: &str) -> Result<Vec<String>, String> {
     Ok(out)
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Formats a finite number so it round-trips through the parser; JSON has
 /// no NaN/Inf, so non-finite values degrade to 0.
 fn json_num(x: f64) -> String {
@@ -300,246 +282,6 @@ fn json_num(x: f64) -> String {
         format!("{x:?}")
     } else {
         "0.0".to_string()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader (objects, arrays, strings, numbers, bools, null).
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(JsonObj),
-}
-
-#[derive(Debug, Clone, PartialEq, Default)]
-struct JsonObj {
-    fields: Vec<(String, Json)>,
-}
-
-impl JsonObj {
-    fn get(&self, key: &str) -> Result<&Json, String> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field {key:?}"))
-    }
-
-    fn get_str(&self, key: &str) -> Result<String, String> {
-        Ok(self.get(key)?.as_str(key)?.to_string())
-    }
-
-    fn get_num(&self, key: &str) -> Result<f64, String> {
-        self.get(key)?.as_num(key)
-    }
-}
-
-impl Json {
-    fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn as_obj(&self, what: &str) -> Result<&JsonObj, String> {
-        match self {
-            Json::Obj(o) => Ok(o),
-            other => Err(format!("{what}: expected object, got {}", other.kind())),
-        }
-    }
-
-    fn as_arr(&self, what: &str) -> Result<&[Json], String> {
-        match self {
-            Json::Arr(a) => Ok(a),
-            other => Err(format!("{what}: expected array, got {}", other.kind())),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, String> {
-        match self {
-            Json::Str(s) => Ok(s),
-            other => Err(format!("{what}: expected string, got {}", other.kind())),
-        }
-    }
-
-    fn as_num(&self, what: &str) -> Result<f64, String> {
-        match self {
-            Json::Num(n) => Ok(*n),
-            other => Err(format!("{what}: expected number, got {}", other.kind())),
-        }
-    }
-
-    fn as_bool(&self, what: &str) -> Result<bool, String> {
-        match self {
-            Json::Bool(b) => Ok(*b),
-            other => Err(format!("{what}: expected bool, got {}", other.kind())),
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            Json::Null => "null",
-            Json::Bool(_) => "bool",
-            Json::Num(_) => "number",
-            Json::Str(_) => "string",
-            Json::Arr(_) => "array",
-            Json::Obj(_) => "object",
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(_) => parse_num(bytes, pos),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}"))
-    }
-}
-
-fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii digits");
-    text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number {text:?} at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(bytes[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                            16,
-                        )
-                        .map_err(|_| "bad \\u escape")?;
-                        // Surrogates are never emitted by our writer;
-                        // map them to the replacement character.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so the
-                // bytes are valid UTF-8).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // '['
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    *pos += 1; // '{'
-    let mut obj = JsonObj::default();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Obj(obj));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}"));
-        }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        *pos += 1;
-        obj.fields.push((key, parse_value(bytes, pos)?));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(obj));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
     }
 }
 
@@ -955,6 +697,14 @@ mod tests {
         r.corpora_filter = vec!["de-map".into()];
         let parsed = Report::from_json(&r.to_json()).expect("parse");
         assert_eq!(parsed, r);
+    }
+
+    #[test]
+    fn committed_baseline_round_trips_byte_for_byte() {
+        let text = include_str!("../../../BENCH_BASELINE.json");
+        let parsed = Report::from_json(text).expect("parse");
+        assert!(!parsed.cells.is_empty());
+        assert_eq!(parsed.to_json(), text);
     }
 
     #[test]

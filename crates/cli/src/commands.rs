@@ -589,6 +589,9 @@ fn profile(
         println!("  {label:<22} {:>10.3} ms", seconds * 1e3);
     }
     println!("\ntrace: wrote {out_path} (open in Perfetto or chrome://tracing)");
+    if stats.trace_dropped > 0 {
+        println!("trace: {} span(s) dropped; the export is truncated", stats.trace_dropped);
+    }
     Ok(())
 }
 

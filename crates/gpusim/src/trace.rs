@@ -1,12 +1,11 @@
-//! Modelled execution timelines and Chrome-trace export.
+//! Modelled execution timelines.
 //!
 //! [`Timeline::from_launch`] reconstructs the cost model's view of a
-//! launch — which block ran on which SM, when — and serializes it in the
-//! Chrome tracing JSON format (`chrome://tracing`, Perfetto), giving the
-//! simulated GPU the observability a real one gets from profilers. The
-//! event writer ([`ChromeEvent`], [`write_chrome_trace`]) is generic so
-//! higher layers (the server's request tracer) can merge their host
-//! spans with the modelled block spans into one trace file.
+//! launch — which block ran on which SM, when — giving the simulated GPU
+//! the observability a real one gets from profilers. This module keeps
+//! only that schedule; the server's tracer (`culzss_server::tracing`)
+//! turns its [`BlockSpan`]s into trace spans and writes the one
+//! Chrome-trace export, merged with the host spans.
 
 use crate::cost::{block_cycles, transaction_cycles};
 use crate::device::DeviceSpec;
@@ -37,98 +36,6 @@ pub struct Timeline {
     pub total_seconds: f64,
     /// SM count of the device (rows in the visualization).
     pub sm_count: usize,
-}
-
-/// One event in the Chrome tracing JSON array format.
-///
-/// Supported phases: `'B'`/`'E'` (duration begin/end, `dur_us` ignored),
-/// `'X'` (complete, `dur_us` required), `'M'` (metadata, e.g.
-/// `process_name`). Timestamps are microseconds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChromeEvent {
-    /// Event (span) name.
-    pub name: String,
-    /// Category string (comma-separated tags in the UI).
-    pub cat: String,
-    /// Phase: `'B'`, `'E'`, `'X'`, or `'M'`.
-    pub ph: char,
-    /// Timestamp in microseconds.
-    pub ts_us: f64,
-    /// Duration in microseconds (`'X'` events only).
-    pub dur_us: Option<f64>,
-    /// Process lane.
-    pub pid: u64,
-    /// Thread lane within the process.
-    pub tid: u64,
-    /// Free-form arguments rendered in the event detail pane.
-    pub args: Vec<(String, String)>,
-}
-
-impl ChromeEvent {
-    /// A metadata event naming process lane `pid` in the trace viewer.
-    pub fn process_name(pid: u64, name: &str) -> ChromeEvent {
-        ChromeEvent {
-            name: "process_name".into(),
-            cat: "__metadata".into(),
-            ph: 'M',
-            ts_us: 0.0,
-            dur_us: None,
-            pid,
-            tid: 0,
-            args: vec![("name".into(), name.into())],
-        }
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-/// Serializes `events` as a Chrome tracing JSON array.
-pub fn write_chrome_trace(events: &[ChromeEvent]) -> String {
-    let mut out = String::from("[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":\"");
-        escape_json(&e.name, &mut out);
-        out.push_str("\",\"cat\":\"");
-        escape_json(&e.cat, &mut out);
-        out.push_str(&format!("\",\"ph\":\"{}\",\"ts\":{:.3}", e.ph, e.ts_us));
-        if let Some(dur) = e.dur_us {
-            out.push_str(&format!(",\"dur\":{dur:.3}"));
-        }
-        out.push_str(&format!(",\"pid\":{},\"tid\":{}", e.pid, e.tid));
-        if !e.args.is_empty() {
-            out.push_str(",\"args\":{");
-            for (j, (k, v)) in e.args.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                escape_json(k, &mut out);
-                out.push_str("\":\"");
-                escape_json(v, &mut out);
-                out.push('"');
-            }
-            out.push('}');
-        }
-        out.push('}');
-    }
-    out.push(']');
-    out
 }
 
 impl Timeline {
@@ -165,32 +72,6 @@ impl Timeline {
         }
         let total_seconds = sm_clock.iter().cloned().fold(0.0, f64::max) / device.clock_hz;
         Timeline { spans, total_seconds, sm_count: device.sm_count }
-    }
-
-    /// The per-SM block spans as `'X'` (complete) [`ChromeEvent`]s,
-    /// shifted by `offset_us` and placed on process lane `pid` with one
-    /// thread lane per SM. Higher layers use the offset to anchor the
-    /// kernel's blocks inside a host-side span.
-    pub fn block_events(&self, kernel_name: &str, pid: u64, offset_us: f64) -> Vec<ChromeEvent> {
-        self.spans
-            .iter()
-            .map(|span| ChromeEvent {
-                name: format!("{kernel_name}#b{}", span.block_idx),
-                cat: if span.memory_bound { "memory" } else { "compute" }.into(),
-                ph: 'X',
-                ts_us: offset_us + span.start * 1e6,
-                dur_us: Some(span.duration * 1e6),
-                pid,
-                tid: span.sm as u64,
-                args: Vec::new(),
-            })
-            .collect()
-    }
-
-    /// Serializes the timeline as Chrome tracing JSON (array form).
-    /// Timestamps are microseconds, one "thread" per SM.
-    pub fn to_chrome_trace(&self, kernel_name: &str) -> String {
-        write_chrome_trace(&self.block_events(kernel_name, 0, 0.0))
     }
 
     /// SM utilization: busy time over `sm_count × makespan`.
@@ -277,69 +158,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn chrome_trace_is_wellformed_json() {
-        let device = DeviceSpec::gtx480();
-        let blocks: Vec<BlockMetrics> = (0..4).map(|_| metrics(100.0)).collect();
-        let timeline = Timeline::from_launch(&device, 64, 0, &blocks);
-        let json = timeline.to_chrome_trace("lzss_v2");
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), 4);
-        assert!(json.contains("lzss_v2#b0"));
-        // Balanced braces (crude JSON sanity).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn chrome_writer_escapes_and_serializes_all_phases() {
-        let events = vec![
-            ChromeEvent::process_name(7, "service \"quoted\""),
-            ChromeEvent {
-                name: "span\nwith\tcontrol".into(),
-                cat: "host".into(),
-                ph: 'B',
-                ts_us: 1.5,
-                dur_us: None,
-                pid: 7,
-                tid: 3,
-                args: vec![("tenant".into(), "a\\b".into())],
-            },
-            ChromeEvent {
-                name: "span\nwith\tcontrol".into(),
-                cat: "host".into(),
-                ph: 'E',
-                ts_us: 2.5,
-                dur_us: None,
-                pid: 7,
-                tid: 3,
-                args: Vec::new(),
-            },
-        ];
-        let json = write_chrome_trace(&events);
-        assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("span\\nwith\\tcontrol"));
-        assert!(json.contains("a\\\\b"));
-        assert!(json.contains("\"ph\":\"M\""));
-        assert!(json.contains("\"ph\":\"B\""));
-        assert!(json.contains("\"ph\":\"E\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn block_events_offset_and_lane() {
-        let device = DeviceSpec::gtx480();
-        let blocks: Vec<BlockMetrics> = (0..3).map(|_| metrics(1000.0)).collect();
-        let timeline = Timeline::from_launch(&device, 64, 0, &blocks);
-        let events = timeline.block_events("k", 42, 500.0);
-        assert_eq!(events.len(), 3);
-        for (event, span) in events.iter().zip(&timeline.spans) {
-            assert_eq!(event.pid, 42);
-            assert_eq!(event.tid, span.sm as u64);
-            assert!((event.ts_us - (500.0 + span.start * 1e6)).abs() < 1e-9);
-            assert_eq!(event.ph, 'X');
         }
     }
 

@@ -56,6 +56,7 @@ pub mod batch;
 pub mod fault;
 pub mod health;
 pub mod job;
+pub mod json;
 pub mod loadgen;
 mod queue;
 pub mod service;

@@ -141,10 +141,10 @@ impl Shared {
         }
     }
 
-    /// The counter snapshot, with the chunk cache's own counters and the
-    /// per-device health registry folded in (cache and breakers track
-    /// their state internally; the collector's atomics cover everything
-    /// else).
+    /// The counter snapshot, with the chunk cache's own counters, the
+    /// per-device health registry and the trace recorder's drop count
+    /// folded in (each tracks its state internally; the collector's
+    /// atomics cover everything else).
     pub fn stats_snapshot(&self) -> ServiceStats {
         let mut snap = self.stats.snapshot();
         if let Some(dedup) = &self.dedup {
@@ -165,6 +165,7 @@ impl Shared {
         snap.quota_admitted = admitted;
         snap.quota_released = released;
         snap.quota_outstanding = outstanding as u64;
+        snap.trace_dropped = self.trace.dropped();
         snap
     }
 }
@@ -374,11 +375,6 @@ impl Service {
         self.shared.trace.chrome_json()
     }
 
-    /// Spans discarded because the bounded trace buffer was full.
-    pub fn trace_dropped(&self) -> u64 {
-        self.shared.trace.dropped()
-    }
-
     /// Graceful shutdown: stops admitting, drains every queued and
     /// in-flight job (their tickets resolve normally), joins the
     /// workers, and returns the final — reconciling — stats snapshot.
@@ -404,5 +400,36 @@ impl Drop for Service {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tracing::{validate_chrome_trace, SpanRecord, SERVICE_PID, SPAN_CAP};
+
+    #[test]
+    fn trace_drops_reach_the_final_snapshot() {
+        let service = Service::start(ServerConfig { cpu_workers: 0, ..ServerConfig::default() });
+        let idle = service.stats();
+        assert_eq!(idle.trace_dropped, 0);
+        assert!(!idle.to_string().contains("dropped"));
+
+        let own = service.trace_spans().len();
+        for i in 0..=SPAN_CAP - own {
+            service.shared.trace.record(SpanRecord {
+                name: "fill".into(),
+                cat: "host".into(),
+                pid: SERVICE_PID,
+                tid: i as u64 % 64,
+                start_us: i as f64,
+                dur_us: 1.0,
+                args: Vec::new(),
+            });
+        }
+        let (stats, json) = service.shutdown_with_trace();
+        assert_eq!(stats.trace_dropped, 1);
+        assert!(stats.to_string().contains("trace: 1 span(s) dropped"), "{stats}");
+        validate_chrome_trace(&json).unwrap();
     }
 }

@@ -429,8 +429,8 @@ impl StatsCollector {
             modeled_kernel_seconds: load_seconds(&self.modeled_kernel_nanos),
             modeled_d2h_seconds: load_seconds(&self.modeled_d2h_nanos),
             modeled_cpu_seconds: load_seconds(&self.modeled_cpu_nanos),
-            // The chunk cache and health registry own their counters;
-            // the service folds them in
+            // The chunk cache, health registry and trace recorder own
+            // their counters; the service folds them in
             // ([`crate::service::Shared::stats_snapshot`]).
             cache_hits: 0,
             cache_misses: 0,
@@ -444,6 +444,7 @@ impl StatsCollector {
             quota_outstanding: 0,
             device_health: Vec::new(),
             breaker_transitions: Vec::new(),
+            trace_dropped: 0,
             latency: self.latency.snapshot(),
             queue_depth: self.queue_depth.snapshot(),
         }
@@ -578,6 +579,10 @@ pub struct ServiceStats {
     /// shutdown (which consumes the service), so chaos runs can assert
     /// deterministic replay from the final snapshot alone.
     pub breaker_transitions: Vec<BreakerTransition>,
+    /// Spans the bounded trace buffer discarded
+    /// (`SPAN_CAP`, 65 536 spans); nonzero means the exported trace
+    /// is truncated.
+    pub trace_dropped: u64,
     /// Job latency (admission → resolution), seconds.
     pub latency: HistogramSnapshot,
     /// Queue depth observed after each admission.
@@ -717,6 +722,14 @@ impl fmt::Display for ServiceStats {
             self.modeled_d2h_seconds,
             self.modeled_cpu_seconds,
         )?;
+        if self.trace_dropped > 0 {
+            writeln!(
+                f,
+                "trace: {} span(s) dropped past the {}-span buffer; the export is truncated",
+                self.trace_dropped,
+                crate::tracing::SPAN_CAP,
+            )?;
+        }
         write!(
             f,
             "latency p50 <= {:.2e} s, p99 <= {:.2e} s   queue depth p50 <= {:.0}, p99 <= {:.0}",

@@ -12,16 +12,26 @@
 //! so one trace shows a request descending from the queue, through a
 //! worker, onto the simulated SMs.
 //!
+//! [`SpanRecord`] is the only span type: the modelled block spans are
+//! built straight from `gpusim`'s [`Timeline`] ([`SpanRecord::block`]).
+//!
 //! Recording is cheap (one mutex push per span, bounded buffer) and
-//! always on; export happens on demand via
-//! [`crate::Service::trace_chrome_json`].
+//! always on; spans past `SPAN_CAP` are counted, not kept, and the
+//! count rides in [`crate::ServiceStats::trace_dropped`]. Export happens
+//! on demand via [`crate::Service::trace_chrome_json`]: [`chrome_trace`]
+//! writes the events directly, quoting strings with [`crate::json`]'s
+//! escaper, and [`validate_chrome_trace`] reads an export back one event
+//! object at a time with that module's reader.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
-use culzss_gpusim::trace::{write_chrome_trace, ChromeEvent, Timeline};
+use culzss_gpusim::trace::{BlockSpan, Timeline};
 use parking_lot::Mutex;
+
+use crate::json::{self, Str};
 
 /// Process lane of per-job host spans (`tid` = job id).
 pub const SERVICE_PID: u64 = 1;
@@ -38,8 +48,9 @@ pub const QOS_PID: u64 = 4;
 pub const DEVICE_PID_BASE: u64 = 10;
 
 /// Span-buffer bound: recording stops (and counts drops) beyond this,
-/// so tracing can stay always-on without unbounded memory.
-const SPAN_CAP: usize = 65_536;
+/// so tracing can stay always-on without unbounded memory. The count of
+/// dropped spans rides in [`crate::ServiceStats::trace_dropped`].
+pub(crate) const SPAN_CAP: usize = 65_536;
 
 /// One recorded span, timestamped in microseconds since the recorder's
 /// epoch (the service start).
@@ -48,7 +59,7 @@ pub struct SpanRecord {
     /// Span name (`request`, `queue_wait`, `execute`, …).
     pub name: String,
     /// Category: `host` (wall clock), `modelled` (cost-model time), or
-    /// the block span categories from [`Timeline::block_events`].
+    /// `memory`/`compute` for a modelled block span ([`Self::block`]).
     pub cat: String,
     /// Process lane.
     pub pid: u64,
@@ -66,6 +77,21 @@ impl SpanRecord {
     /// End timestamp (µs since epoch).
     pub fn end_us(&self) -> f64 {
         self.start_us + self.dur_us
+    }
+
+    /// A modelled block span of a launch of `kernel` on device lane
+    /// `pid` (one thread lane per SM), shifted by `offset_us` — the
+    /// instant the launch starts on the trace's clock.
+    pub fn block(kernel: &str, pid: u64, offset_us: f64, span: &BlockSpan) -> SpanRecord {
+        SpanRecord {
+            name: format!("{kernel}#b{}", span.block_idx),
+            cat: if span.memory_bound { "memory" } else { "compute" }.into(),
+            pid,
+            tid: span.sm as u64,
+            start_us: offset_us + span.start * 1e6,
+            dur_us: span.duration * 1e6,
+            args: Vec::new(),
+        }
     }
 }
 
@@ -144,16 +170,9 @@ impl TraceRecorder {
     /// lane, anchored at wall-clock offset `offset_us` (the start of the
     /// corresponding `kernel` stage span).
     pub fn block_spans(&self, device: usize, timeline: &Timeline, kernel: &str, offset_us: f64) {
-        for event in timeline.block_events(kernel, DEVICE_PID_BASE + device as u64, offset_us) {
-            self.record(SpanRecord {
-                name: event.name,
-                cat: event.cat,
-                pid: event.pid,
-                tid: event.tid,
-                start_us: event.ts_us,
-                dur_us: event.dur_us.unwrap_or(0.0),
-                args: Vec::new(),
-            });
+        let pid = DEVICE_PID_BASE + device as u64;
+        for span in &timeline.spans {
+            self.record(SpanRecord::block(kernel, pid, offset_us, span));
         }
     }
 
@@ -211,19 +230,16 @@ impl TraceRecorder {
 /// Serializes `spans` as Chrome tracing JSON: host lanes become nested
 /// `B`/`E` duration events (children clamped into their parents, lane
 /// timestamps monotonic), device lanes become `X` complete events, plus
-/// `M` metadata naming the process lanes.
+/// `M` metadata naming the process lanes. Timestamps are microseconds.
 pub fn chrome_trace(spans: &[SpanRecord]) -> String {
     let mut lanes: BTreeMap<(u64, u64), Vec<&SpanRecord>> = BTreeMap::new();
     for span in spans {
         lanes.entry((span.pid, span.tid)).or_default().push(span);
     }
 
-    let mut events = Vec::new();
-    let mut named_pids = std::collections::BTreeSet::new();
-    for &(pid, _) in lanes.keys() {
-        if !named_pids.insert(pid) {
-            continue;
-        }
+    let mut out = String::from("[");
+    let pids: BTreeSet<u64> = lanes.keys().map(|&(pid, _)| pid).collect();
+    for pid in pids {
         let name = match pid {
             SERVICE_PID => "culzss-service (jobs)".to_string(),
             BATCH_PID => "culzss-service (batches)".to_string(),
@@ -232,7 +248,13 @@ pub fn chrome_trace(spans: &[SpanRecord]) -> String {
             p if p >= DEVICE_PID_BASE => format!("gpu{} (modelled SMs)", p - DEVICE_PID_BASE),
             p => format!("pid {p}"),
         };
-        events.push(ChromeEvent::process_name(pid, &name));
+        next_event(&mut out);
+        let _ = write!(
+            out,
+            "{{\"name\":\"process_name\",\"cat\":\"__metadata\",\"ph\":\"M\",\"ts\":0.000,\
+             \"pid\":{pid},\"tid\":0,\"args\":{{\"name\":{}}}}}",
+            Str(&name)
+        );
     }
 
     for ((pid, tid), mut lane) in lanes {
@@ -240,16 +262,17 @@ pub fn chrome_trace(spans: &[SpanRecord]) -> String {
             // Modelled block spans: complete events, no nesting needed.
             lane.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
             for span in lane {
-                events.push(ChromeEvent {
-                    name: span.name.clone(),
-                    cat: span.cat.clone(),
-                    ph: 'X',
-                    ts_us: span.start_us,
-                    dur_us: Some(span.dur_us),
-                    pid,
-                    tid,
-                    args: span.args.clone(),
-                });
+                next_event(&mut out);
+                let _ = write!(
+                    out,
+                    "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
+                     \"pid\":{pid},\"tid\":{tid}",
+                    Str(&span.name),
+                    Str(&span.cat),
+                    span.start_us,
+                    span.dur_us,
+                );
+                end_event(&mut out, &span.args);
             }
             continue;
         }
@@ -259,110 +282,85 @@ pub fn chrome_trace(spans: &[SpanRecord]) -> String {
         lane.sort_by(|a, b| {
             a.start_us.total_cmp(&b.start_us).then(b.end_us().total_cmp(&a.end_us()))
         });
-        let mut stack: Vec<(String, f64)> = Vec::new();
+        let mut stack: Vec<(&str, f64)> = Vec::new();
         let mut cursor = 0.0f64;
-        let mut emit = |ph: char, name: &str, ts: f64, args: Vec<(String, String)>| {
-            events.push(ChromeEvent {
-                name: name.into(),
-                cat: "host".into(),
-                ph,
-                ts_us: ts,
-                dur_us: None,
-                pid,
-                tid,
-                args,
-            });
+        let emit = |out: &mut String, ph: char, name: &str, ts: f64, args: &[(String, String)]| {
+            next_event(out);
+            let _ = write!(
+                out,
+                "{{\"name\":{},\"cat\":\"host\",\"ph\":\"{ph}\",\"ts\":{ts:.3},\
+                 \"pid\":{pid},\"tid\":{tid}",
+                Str(name)
+            );
+            end_event(out, args);
         };
         for span in lane {
-            while let Some((name, end)) = stack.last().cloned() {
-                if end <= span.start_us {
-                    let ts = end.max(cursor);
-                    emit('E', &name, ts, Vec::new());
-                    cursor = ts;
-                    stack.pop();
-                } else {
+            while let Some(&(name, end)) = stack.last() {
+                if end > span.start_us {
                     break;
                 }
+                let ts = end.max(cursor);
+                emit(&mut out, 'E', name, ts, &[]);
+                cursor = ts;
+                stack.pop();
             }
             let start = span.start_us.max(cursor);
             // A child cannot outlive its parent in the nesting model.
             let end = match stack.last() {
-                Some((_, parent_end)) => span.end_us().min(*parent_end),
+                Some(&(_, parent_end)) => span.end_us().min(parent_end),
                 None => span.end_us(),
             }
             .max(start);
-            emit('B', &span.name, start, span.args.clone());
+            emit(&mut out, 'B', &span.name, start, &span.args);
             cursor = start;
-            stack.push((span.name.clone(), end));
+            stack.push((&span.name, end));
         }
         while let Some((name, end)) = stack.pop() {
             let ts = end.max(cursor);
-            emit('E', &name, ts, Vec::new());
+            emit(&mut out, 'E', name, ts, &[]);
             cursor = ts;
         }
     }
-
-    write_chrome_trace(&events)
+    out.push(']');
+    out
 }
 
-/// Schema check for an emitted trace: every lane's `B`/`E` events must
-/// balance (LIFO, matching names) with monotonically non-decreasing
-/// timestamps, and `X` events must carry non-negative durations.
-/// Tailored to [`write_chrome_trace`]'s output (name field first,
-/// strings fully escaped).
-pub fn validate_chrome_trace(json: &str) -> Result<(), String> {
-    let objects = split_events(json)?;
-    let mut stacks: BTreeMap<(u64, u64), Vec<String>> = BTreeMap::new();
-    let mut last_ts: BTreeMap<(u64, u64), f64> = BTreeMap::new();
-    for (i, obj) in objects.iter().enumerate() {
-        let ph = field_string(obj, "ph").ok_or_else(|| format!("event {i}: missing ph"))?;
-        if ph == "M" {
-            continue;
-        }
-        let ts = field_number(obj, "ts").ok_or_else(|| format!("event {i}: missing ts"))?;
-        let pid = field_number(obj, "pid").ok_or_else(|| format!("event {i}: missing pid"))?;
-        let tid = field_number(obj, "tid").ok_or_else(|| format!("event {i}: missing tid"))?;
-        let name = field_string(obj, "name").ok_or_else(|| format!("event {i}: missing name"))?;
-        let lane = (pid as u64, tid as u64);
-        match ph.as_str() {
-            "B" | "E" => {
-                let last = last_ts.entry(lane).or_insert(f64::NEG_INFINITY);
-                if ts < *last {
-                    return Err(format!(
-                        "event {i} ({name}): timestamp {ts} regressed below {last} on lane {lane:?}"
-                    ));
-                }
-                *last = ts;
-                let stack = stacks.entry(lane).or_default();
-                if ph == "B" {
-                    stack.push(name);
-                } else {
-                    match stack.pop() {
-                        Some(open) if open == name => {}
-                        Some(open) => {
-                            return Err(format!(
-                                "event {i}: E \"{name}\" closes B \"{open}\" on lane {lane:?}"
-                            ));
-                        }
-                        None => {
-                            return Err(format!(
-                                "event {i}: E \"{name}\" without an open B on lane {lane:?}"
-                            ));
-                        }
-                    }
-                }
-            }
-            "X" => {
-                let dur =
-                    field_number(obj, "dur").ok_or_else(|| format!("event {i}: X missing dur"))?;
-                if dur < 0.0 {
-                    return Err(format!("event {i} ({name}): negative duration {dur}"));
-                }
-            }
-            other => return Err(format!("event {i}: unknown phase {other:?}")),
-        }
+/// Separates the next event from the previous one (none after the `[`).
+fn next_event(out: &mut String) {
+    if out.len() > 1 {
+        out.push(',');
     }
-    for (lane, stack) in stacks {
+}
+
+/// Writes an event's `args` object, when it has any, and closes it.
+fn end_event(out: &mut String, args: &[(String, String)]) {
+    if !args.is_empty() {
+        out.push_str(",\"args\":{");
+        for (i, (k, v)) in args.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{}:{}", Str(k), Str(v));
+        }
+        out.push('}');
+    }
+    out.push('}');
+}
+
+/// Schema check for an emitted trace. The text must be one JSON array
+/// of event objects, read one event at a time with [`json::for_each_item`]:
+/// each event has a string `ph`; every event but `M` metadata also has
+/// numeric `ts`, `pid` and `tid` and a string `name`. Every lane's
+/// `B`/`E` events must balance (LIFO, matching names) with
+/// non-decreasing timestamps, and `X` events must carry a non-negative
+/// `dur`.
+pub fn validate_chrome_trace(json: &str) -> Result<(), String> {
+    // Per B/E lane: the last timestamp and the stack of open names.
+    let mut lanes: BTreeMap<(u64, u64), (f64, Vec<String>)> = BTreeMap::new();
+    json::for_each_item(json, |i, event| {
+        check_event(&event, &mut lanes).map_err(|e| format!("event {i}: {e}"))
+    })?;
+    for (lane, (_, stack)) in lanes {
         if let Some(open) = stack.last() {
             return Err(format!("lane {lane:?}: unclosed B \"{open}\""));
         }
@@ -370,85 +368,47 @@ pub fn validate_chrome_trace(json: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Splits a JSON array of objects into the objects' raw text, tracking
-/// quote/escape state so braces inside strings don't confuse the scan.
-fn split_events(json: &str) -> Result<Vec<&str>, String> {
-    let body = json.trim();
-    if !body.starts_with('[') || !body.ends_with(']') {
-        return Err("trace is not a JSON array".into());
+/// One event's share of [`validate_chrome_trace`].
+fn check_event(
+    event: &json::Value,
+    lanes: &mut BTreeMap<(u64, u64), (f64, Vec<String>)>,
+) -> Result<(), String> {
+    let obj = event.as_obj("event")?;
+    let ph = obj.get_str("ph")?;
+    if ph == "M" {
+        return Ok(());
     }
-    let mut events = Vec::new();
-    let mut depth = 0usize;
-    let mut start = None;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in body.char_indices() {
-        if in_string {
-            match c {
-                _ if escaped => escaped = false,
-                '\\' => escaped = true,
-                '"' => in_string = false,
-                _ => {}
+    let ts = obj.get_num("ts")?;
+    let lane = (obj.get_num("pid")? as u64, obj.get_num("tid")? as u64);
+    let name = obj.get_str("name")?;
+    match ph {
+        "B" | "E" => {
+            let (last, stack) = lanes.entry(lane).or_insert((f64::NEG_INFINITY, Vec::new()));
+            if ts < *last {
+                return Err(format!(
+                    "{name}: timestamp {ts} regressed below {last} on lane {lane:?}"
+                ));
             }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
+            *last = ts;
+            if ph == "B" {
+                stack.push(name.to_string());
+                return Ok(());
             }
-            '}' => {
-                depth = depth.checked_sub(1).ok_or("unbalanced braces")?;
-                if depth == 0 {
-                    let s = start.take().ok_or("object end without start")?;
-                    events.push(&body[s..=i]);
-                }
+            match stack.pop() {
+                Some(open) if open == name => Ok(()),
+                Some(open) => Err(format!("E \"{name}\" closes B \"{open}\" on lane {lane:?}")),
+                None => Err(format!("E \"{name}\" without an open B on lane {lane:?}")),
             }
-            _ => {}
         }
-    }
-    if depth != 0 || in_string {
-        return Err("truncated trace JSON".into());
-    }
-    Ok(events)
-}
-
-/// First occurrence of string field `key` in `obj` (raw, still escaped —
-/// adequate for comparing identically-escaped names).
-fn field_string(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let at = obj.find(&pat)? + pat.len();
-    let rest = &obj[at..];
-    let mut out = String::new();
-    let mut escaped = false;
-    for c in rest.chars() {
-        if escaped {
-            out.push(c);
-            escaped = false;
-        } else if c == '\\' {
-            out.push(c);
-            escaped = true;
-        } else if c == '"' {
-            return Some(out);
-        } else {
-            out.push(c);
+        "X" => {
+            let dur = obj.get_num("dur")?;
+            if dur < 0.0 {
+                return Err(format!("{name}: negative duration {dur}"));
+            }
+            Ok(())
         }
+        other => Err(format!("unknown phase {other:?}")),
     }
-    None
-}
-
-/// First occurrence of numeric field `key` in `obj`.
-fn field_number(obj: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat)? + pat.len();
-    let digits: String = obj[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-        .collect();
-    digits.parse().ok()
 }
 
 #[cfg(test)]
@@ -511,43 +471,141 @@ mod tests {
 
     #[test]
     fn validator_rejects_malformed_traces() {
-        let unclosed = write_chrome_trace(&[ChromeEvent {
-            name: "open".into(),
-            cat: "host".into(),
-            ph: 'B',
-            ts_us: 0.0,
-            dur_us: None,
-            pid: 1,
-            tid: 0,
-            args: Vec::new(),
-        }]);
-        assert!(validate_chrome_trace(&unclosed).is_err());
+        let unclosed = r#"[{"name":"open","cat":"host","ph":"B","ts":0.000,"pid":1,"tid":0}]"#;
+        assert!(validate_chrome_trace(unclosed).is_err());
 
-        let regressed = write_chrome_trace(&[
-            ChromeEvent {
-                name: "a".into(),
-                cat: "host".into(),
-                ph: 'B',
-                ts_us: 10.0,
-                dur_us: None,
-                pid: 1,
-                tid: 0,
-                args: Vec::new(),
-            },
-            ChromeEvent {
-                name: "a".into(),
-                cat: "host".into(),
-                ph: 'E',
-                ts_us: 5.0,
-                dur_us: None,
-                pid: 1,
-                tid: 0,
-                args: Vec::new(),
-            },
-        ]);
-        assert!(validate_chrome_trace(&regressed).is_err());
+        let regressed = r#"[{"name":"a","cat":"host","ph":"B","ts":10.000,"pid":1,"tid":0},
+            {"name":"a","cat":"host","ph":"E","ts":5.000,"pid":1,"tid":0}]"#;
+        assert!(validate_chrome_trace(regressed).is_err());
 
         assert!(validate_chrome_trace("not json").is_err());
+    }
+
+    #[test]
+    fn validator_rejects_text_that_is_not_json() {
+        let b = r#"{"name":"a","cat":"host","ph":"B","ts":0.000,"pid":1,"tid":0}"#;
+        let e = r#"{"name":"a","cat":"host","ph":"E","ts":1.000,"pid":1,"tid":0}"#;
+        validate_chrome_trace(&format!("[{b},{e}]")).unwrap();
+        for bad in [
+            format!("[{b} junk ,, {e}]"),
+            format!("[{b},,{e}]"),
+            format!("[{b},{e},]"),
+            format!("[{b},{e}] trailing"),
+            format!("[{b},{e}"),
+            b.to_string(),
+        ] {
+            assert!(validate_chrome_trace(&bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    #[test]
+    fn validator_reads_the_top_level_name_not_an_args_name() {
+        let trace = r#"[
+            {"ph":"B","args":{"name":"b","ph":"E"},"name":"a","ts":0,"pid":1,"tid":0},
+            {"name":"a","ph":"E","ts":1,"pid":1,"tid":0}
+        ]"#;
+        validate_chrome_trace(trace).unwrap();
+    }
+
+    #[test]
+    fn validator_checks_every_event_field() {
+        for (bad, why) in [
+            (r#"[{"name":"a","ts":0,"pid":1,"tid":0}]"#, "missing field \"ph\""),
+            (r#"[{"name":"a","ph":"B","pid":1,"tid":0}]"#, "missing field \"ts\""),
+            (r#"[{"name":"a","ph":"B","ts":"0","pid":1,"tid":0}]"#, "expected number"),
+            (r#"[{"ph":"X","ts":0,"pid":10,"tid":0}]"#, "missing field \"name\""),
+            (r#"[{"name":"k","ph":"X","ts":0,"pid":10,"tid":0}]"#, "missing field \"dur\""),
+            (r#"[{"name":"k","ph":"X","ts":0,"dur":-1,"pid":10,"tid":0}]"#, "negative duration"),
+            (r#"[{"name":"k","ph":"Q","ts":0,"pid":10,"tid":0}]"#, "unknown phase"),
+            (r#"[{"name":"a","ph":"E","ts":0,"pid":1,"tid":0}]"#, "without an open B"),
+            (r#"[1]"#, "expected object"),
+        ] {
+            let err = validate_chrome_trace(bad).unwrap_err();
+            assert!(err.starts_with("event 0: ") && err.contains(why), "{bad}: {err}");
+        }
+        // Metadata events need no timestamp or lane.
+        validate_chrome_trace(r#"[{"name":"process_name","ph":"M"}]"#).unwrap();
+    }
+
+    #[test]
+    fn chrome_trace_output_is_pinned() {
+        let host =
+            |name: &str, pid: u64, tid: u64, start_us: f64, dur_us: f64, args: &[(&str, &str)]| {
+                SpanRecord {
+                    name: name.into(),
+                    cat: "host".into(),
+                    pid,
+                    tid,
+                    start_us,
+                    dur_us,
+                    args: args.iter().map(|(k, v)| ((*k).into(), (*v).into())).collect(),
+                }
+            };
+        let device = |cat: &str, span: SpanRecord| SpanRecord { cat: cat.into(), ..span };
+        let spans = vec![
+            host(
+                "request",
+                SERVICE_PID,
+                7,
+                0.5,
+                100.25,
+                &[("tenant", "a\"b\\c"), ("kind", "compress")],
+            ),
+            host("queue_wait", SERVICE_PID, 7, 0.5, 10.0, &[]),
+            host("execute", SERVICE_PID, 7, 10.5, 50.0, &[]),
+            // Outlives its parent: clamped to `execute`'s end.
+            device("modelled", host("kernel", SERVICE_PID, 7, 20.0, 900.0, &[])),
+            host("verify", SERVICE_PID, 7, 95.0, 1.125, &[]),
+            host("line\nbreak\ttab\r\u{1}\u{1f}", SERVICE_PID, 8, 3.0, 4.0, &[("k\"ey", "v\u{7}")]),
+            host("batch", BATCH_PID, 1, 0.75, 2.0, &[("jobs", "2")]),
+            host("breaker:closed->open", HEALTH_PID, 0, 5.0, 0.0, &[("seq", "0")]),
+            host("steal", QOS_PID, 2, 6.0, 0.0, &[]),
+            host("odd", 5, 0, 1.0, 1.0, &[]),
+            device("memory", host("k#b1", DEVICE_PID_BASE + 1, 3, 40.0, 2.5, &[])),
+            device(
+                "compute",
+                host("k\"q#b0", DEVICE_PID_BASE + 1, 3, 20.0, 1.0 / 3.0, &[("x", "\\")]),
+            ),
+            device("compute", host("k#b2", DEVICE_PID_BASE, 0, 0.0, 7.0, &[])),
+        ];
+        let json = chrome_trace(&spans);
+        assert_eq!(json, PINNED_EXPORT);
+        validate_chrome_trace(&json).unwrap();
+    }
+
+    /// The export of [`chrome_trace_output_is_pinned`]'s spans, byte for
+    /// byte: viewers and stored traces rely on this exact layout.
+    const PINNED_EXPORT: &str = r#"[{"name":"process_name","cat":"__metadata","ph":"M","ts":0.000,"pid":1,"tid":0,"args":{"name":"culzss-service (jobs)"}},{"name":"process_name","cat":"__metadata","ph":"M","ts":0.000,"pid":2,"tid":0,"args":{"name":"culzss-service (batches)"}},{"name":"process_name","cat":"__metadata","ph":"M","ts":0.000,"pid":3,"tid":0,"args":{"name":"culzss-service (device health)"}},{"name":"process_name","cat":"__metadata","ph":"M","ts":0.000,"pid":4,"tid":0,"args":{"name":"culzss-service (qos)"}},{"name":"process_name","cat":"__metadata","ph":"M","ts":0.000,"pid":5,"tid":0,"args":{"name":"pid 5"}},{"name":"process_name","cat":"__metadata","ph":"M","ts":0.000,"pid":10,"tid":0,"args":{"name":"gpu0 (modelled SMs)"}},{"name":"process_name","cat":"__metadata","ph":"M","ts":0.000,"pid":11,"tid":0,"args":{"name":"gpu1 (modelled SMs)"}},{"name":"request","cat":"host","ph":"B","ts":0.500,"pid":1,"tid":7,"args":{"tenant":"a\"b\\c","kind":"compress"}},{"name":"queue_wait","cat":"host","ph":"B","ts":0.500,"pid":1,"tid":7},{"name":"queue_wait","cat":"host","ph":"E","ts":10.500,"pid":1,"tid":7},{"name":"execute","cat":"host","ph":"B","ts":10.500,"pid":1,"tid":7},{"name":"kernel","cat":"host","ph":"B","ts":20.000,"pid":1,"tid":7},{"name":"kernel","cat":"host","ph":"E","ts":60.500,"pid":1,"tid":7},{"name":"execute","cat":"host","ph":"E","ts":60.500,"pid":1,"tid":7},{"name":"verify","cat":"host","ph":"B","ts":95.000,"pid":1,"tid":7},{"name":"verify","cat":"host","ph":"E","ts":96.125,"pid":1,"tid":7},{"name":"request","cat":"host","ph":"E","ts":100.750,"pid":1,"tid":7},{"name":"line\nbreak\ttab\r\u0001\u001f","cat":"host","ph":"B","ts":3.000,"pid":1,"tid":8,"args":{"k\"ey":"v\u0007"}},{"name":"line\nbreak\ttab\r\u0001\u001f","cat":"host","ph":"E","ts":7.000,"pid":1,"tid":8},{"name":"batch","cat":"host","ph":"B","ts":0.750,"pid":2,"tid":1,"args":{"jobs":"2"}},{"name":"batch","cat":"host","ph":"E","ts":2.750,"pid":2,"tid":1},{"name":"breaker:closed->open","cat":"host","ph":"B","ts":5.000,"pid":3,"tid":0,"args":{"seq":"0"}},{"name":"breaker:closed->open","cat":"host","ph":"E","ts":5.000,"pid":3,"tid":0},{"name":"steal","cat":"host","ph":"B","ts":6.000,"pid":4,"tid":2},{"name":"steal","cat":"host","ph":"E","ts":6.000,"pid":4,"tid":2},{"name":"odd","cat":"host","ph":"B","ts":1.000,"pid":5,"tid":0},{"name":"odd","cat":"host","ph":"E","ts":2.000,"pid":5,"tid":0},{"name":"k#b2","cat":"compute","ph":"X","ts":0.000,"dur":7.000,"pid":10,"tid":0},{"name":"k\"q#b0","cat":"compute","ph":"X","ts":20.000,"dur":0.333,"pid":11,"tid":3,"args":{"x":"\\"}},{"name":"k#b1","cat":"memory","ph":"X","ts":40.000,"dur":2.500,"pid":11,"tid":3}]"#;
+
+    #[test]
+    fn block_spans_carry_the_offset_and_one_lane_per_sm() {
+        let device = culzss_gpusim::DeviceSpec::gtx480();
+        let blocks: Vec<culzss_gpusim::BlockMetrics> = (0..3)
+            .map(|i| culzss_gpusim::BlockMetrics {
+                warp_issue_ops: 1000.0,
+                global_transactions: if i == 1 { 1e6 } else { 0.0 },
+                blocks: 1,
+                block_dim: 64,
+                ..Default::default()
+            })
+            .collect();
+        let timeline = Timeline::from_launch(&device, 64, 0, &blocks);
+        let recorder = TraceRecorder::new();
+        recorder.block_spans(2, &timeline, "k", 500.0);
+        let spans = recorder.spans();
+        assert_eq!(spans.len(), 3);
+        for (record, span) in spans.iter().zip(&timeline.spans) {
+            assert_eq!(record.name, format!("k#b{}", span.block_idx));
+            assert_eq!(record.cat, if span.memory_bound { "memory" } else { "compute" });
+            assert_eq!((record.pid, record.tid), (DEVICE_PID_BASE + 2, span.sm as u64));
+            assert!((record.start_us - (500.0 + span.start * 1e6)).abs() < 1e-9);
+            assert_eq!(record.dur_us, span.duration * 1e6);
+        }
+        assert_eq!(spans[1].cat, "memory");
+        let json = recorder.chrome_json();
+        validate_chrome_trace(&json).unwrap();
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), 3);
+        assert!(json.contains("gpu2 (modelled SMs)"));
     }
 
     #[test]
@@ -588,5 +646,7 @@ mod tests {
         }
         assert_eq!(recorder.spans().len(), SPAN_CAP);
         assert_eq!(recorder.dropped(), 10);
+        // The capped buffer still exports a trace that validates.
+        validate_chrome_trace(&recorder.chrome_json()).unwrap();
     }
 }

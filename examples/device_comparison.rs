@@ -1,5 +1,6 @@
 //! Runs the same CULZSS workload on three simulated GPU generations and
-//! exports a Chrome-trace timeline of the GTX 480 run.
+//! exports a Chrome-trace timeline of the GTX 480 run, validated before
+//! it is written.
 //!
 //! ```text
 //! cargo run --release --example device_comparison
@@ -15,12 +16,14 @@ use culzss_datasets::Dataset;
 use culzss_gpusim::report::format_launch;
 use culzss_gpusim::trace::Timeline;
 use culzss_gpusim::DeviceSpec;
+use culzss_server::tracing::DEVICE_PID_BASE;
+use culzss_server::{chrome_trace, validate_chrome_trace, SpanRecord};
 
 fn main() {
     let input = Dataset::KernelTarball.generate(2 << 20, 0xDE7);
     println!("workload: {} KiB kernel-tarball corpus, CULZSS V2\n", input.len() >> 10);
 
-    let mut chrome_trace: Option<String> = None;
+    let mut trace: Option<String> = None;
     for device in [DeviceSpec::gtx280(), DeviceSpec::gtx480(), DeviceSpec::c2050()] {
         let culzss = Culzss::with_device(device.clone(), CulzssParams::v2()).with_workers(4);
         let (compressed, stats) = culzss.compress(&input).expect("compress");
@@ -44,11 +47,17 @@ fn main() {
                 timeline.spans.len(),
                 timeline.utilization() * 100.0
             );
-            chrome_trace = Some(timeline.to_chrome_trace("culzss_v2"));
+            let spans: Vec<SpanRecord> = timeline
+                .spans
+                .iter()
+                .map(|span| SpanRecord::block("culzss_v2", DEVICE_PID_BASE, 0.0, span))
+                .collect();
+            trace = Some(chrome_trace(&spans));
         }
     }
 
-    if let Some(json) = chrome_trace {
+    if let Some(json) = trace {
+        validate_chrome_trace(&json).expect("valid trace");
         let path = std::env::temp_dir().join("culzss_v2_trace.json");
         std::fs::write(&path, json).expect("write trace");
         println!("chrome trace written to {}", path.display());
